@@ -27,7 +27,7 @@ use wdt_model::{
     FitConfig, FittedModel, ModelKind, PerEdgeConfig,
 };
 use wdt_serve::{
-    run_loadgen, AnyServer, BatchConfig, Frontend, HttpClient, LoadgenConfig, LoadgenMode,
+    run_loadgen, BatchConfig, EventLoopServer, HttpClient, LoadgenConfig, LoadgenMode,
     ModelRegistry, ServeConfig, ServeSchema,
 };
 use wdt_types::{records_to_csv, EdgeId, EndpointId, TransferRecord};
@@ -60,7 +60,13 @@ pub fn run(args: &Args) -> CmdResult {
 
 /// The help text.
 pub fn usage() -> String {
-    "wdt — wide-area data transfer performance toolkit\n\
+    let d = ServeConfig::default();
+    let (acceptors, deadline_ms, explain_top) =
+        (d.acceptors, d.request_deadline.as_millis(), d.explain_top);
+    let (max_batch, flush_us, queue_cap) =
+        (d.batch.max_batch, d.batch.flush.as_micros(), d.batch.queue_cap);
+    format!(
+        "wdt — wide-area data transfer performance toolkit\n\
      \n\
      USAGE: wdt <command> [--key value ...]\n\
      \n\
@@ -97,22 +103,20 @@ pub fn usage() -> String {
      advise    concurrency-cap advice for an endpoint (Figure 4 analysis)\n\
                --log FILE --endpoint N\n\
      serve     online rate-prediction service (HTTP, micro-batched)\n\
-               --model-dir DIR [--port N=8191] [--workers N=8]\n\
-               [--frontend threaded|eventloop=eventloop] [--acceptors N=2]\n\
-               [--deadline-ms N=5000] [--max-batch N=64] [--flush-us N=100]\n\
-               [--queue-cap N=1024] [--explain-top N=5] [--cores LIST]\n\
+               --model-dir DIR [--port N=8191] [--acceptors N={acceptors}]\n\
+               [--deadline-ms N={deadline_ms}] [--max-batch N={max_batch}]\n\
+               [--flush-us N={flush_us}] [--queue-cap N={queue_cap}]\n\
+               [--explain-top N={explain_top}] [--cores LIST]\n\
                (endpoints: POST /predict, POST /explain for a prediction\n\
                 plus its per-feature attributions (--explain-top ranks the\n\
                 N largest), GET /healthz, GET /metrics, GET /metrics.prom\n\
                 for Prometheus text, GET /alerts for the alert ring,\n\
                 POST /reload to hot-swap to the newest model in DIR,\n\
-                POST /shutdown for a graceful stop. The eventloop front\n\
-                end multiplexes all connections over --acceptors poller\n\
-                threads; threaded uses --workers blocking threads, one\n\
-                connection each. --deadline-ms answers 408 to requests\n\
-                that stall mid-delivery. --cores pins the process to a\n\
-                CPU list like 0-3,6 — Linux only, for the multi-core\n\
-                bench protocol in EXPERIMENTS.md)\n\
+                POST /shutdown for a graceful stop. All connections are\n\
+                multiplexed over --acceptors poller threads. --deadline-ms\n\
+                answers 408 to requests that stall mid-delivery. --cores\n\
+                pins the process to a CPU list like 0-3,6 — Linux only,\n\
+                for the multi-core bench protocol in EXPERIMENTS.md)\n\
      loadgen   replay a log's feature vectors against a running server\n\
                --addr HOST:PORT --log FILE [--requests N=10000]\n\
                [--mode closed|open=closed] [--concurrency N=8]\n\
@@ -195,7 +199,7 @@ pub fn usage() -> String {
      help      this text\n\
      \n\
      Unknown --flags are rejected by name; `wdt help` lists every flag.\n"
-        .to_string()
+    )
 }
 
 /// Load a transfer log line by line: memory is one line buffer plus the
@@ -1101,8 +1105,6 @@ fn serve(args: &Args) -> CmdResult {
     args.ensure_known(&[
         "model-dir",
         "port",
-        "workers",
-        "frontend",
         "acceptors",
         "deadline-ms",
         "max-batch",
@@ -1113,35 +1115,30 @@ fn serve(args: &Args) -> CmdResult {
     ])?;
     apply_cores(args)?;
     let dir = args.require("model-dir")?.to_string();
-    let frontend = match args.get("frontend").unwrap_or("eventloop") {
-        "threaded" => Frontend::Threaded,
-        "eventloop" => Frontend::EventLoop,
-        other => return Err(format!("unknown --frontend '{other}' (threaded|eventloop)").into()),
-    };
+    let d = ServeConfig::default();
     let cfg = ServeConfig {
         port: args.get_or("port", 8191)?,
-        workers: args.get_or("workers", 8)?,
-        acceptors: args.get_or("acceptors", 2)?,
-        request_deadline: Duration::from_millis(args.get_or("deadline-ms", 5000u64)?),
+        acceptors: args.get_or("acceptors", d.acceptors)?,
+        request_deadline: Duration::from_millis(
+            args.get_or("deadline-ms", d.request_deadline.as_millis().try_into()?)?,
+        ),
         batch: BatchConfig {
-            max_batch: args.get_or("max-batch", 64)?,
-            flush: Duration::from_micros(args.get_or("flush-us", 100u64)?),
-            queue_cap: args.get_or("queue-cap", 1024)?,
-            ..Default::default()
+            max_batch: args.get_or("max-batch", d.batch.max_batch)?,
+            flush: Duration::from_micros(
+                args.get_or("flush-us", d.batch.flush.as_micros().try_into()?)?,
+            ),
+            queue_cap: args.get_or("queue-cap", d.batch.queue_cap)?,
+            ..d.batch
         },
-        explain_top: args.get_or("explain-top", 5usize)?,
+        explain_top: args.get_or("explain-top", d.explain_top)?,
     };
     let registry = Arc::new(ModelRegistry::open(dir, ServeSchema::prediction())?);
-    let server = AnyServer::start(registry, cfg, frontend)?;
+    let server = EventLoopServer::start(registry, cfg)?;
     println!(
-        "serving model '{}' ({} versions on disk) at http://{} [{}]",
+        "serving model '{}' ({} versions on disk) at http://{}",
         server.registry().current().version,
         server.registry().versions()?.len(),
         server.addr(),
-        match frontend {
-            Frontend::Threaded => "threaded",
-            Frontend::EventLoop => "eventloop",
-        }
     );
     println!(
         "POST /predict | POST /explain | GET /healthz | GET /metrics[.prom] | GET /alerts | \
@@ -1702,6 +1699,17 @@ mod tests {
     }
 
     #[test]
+    fn serve_rejects_the_removed_front_end_flags() {
+        for (flag, value) in [("--frontend", "eventloop"), ("--workers", "8")] {
+            let err = run(&parse(&format!("serve --model-dir unused {flag} {value}")))
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(flag), "{err}");
+            assert!(!usage().contains(flag), "usage still lists {flag}");
+        }
+    }
+
+    #[test]
     fn parse_cores_handles_lists_and_ranges() {
         assert_eq!(parse_cores("0").unwrap(), vec![0]);
         assert_eq!(parse_cores("0-3,6").unwrap(), vec![0, 1, 2, 3, 6]);
@@ -2003,9 +2011,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("v1.json"), model.to_json()).unwrap();
         let registry = Arc::new(ModelRegistry::open(dir, ServeSchema::prediction()).unwrap());
-        // The event-loop front end is the default; exercise it here.
-        let server =
-            AnyServer::start(registry, ServeConfig::default(), Frontend::EventLoop).unwrap();
+        let server = EventLoopServer::start(registry, ServeConfig::default()).unwrap();
 
         let out = tmp("loadgen-report.json");
         run(&parse(&format!(

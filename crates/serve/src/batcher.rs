@@ -1,16 +1,16 @@
 //! Micro-batching inference engine with admission control.
 //!
-//! Concurrent HTTP workers each hold one prediction; tree traversal is
+//! Connections each hold one prediction at a time; tree traversal is
 //! cheapest when rows are pushed through the model together. The batcher
-//! bridges the two: [`Batcher::submit`] enqueues a row into a bounded
-//! queue and returns a receiver; dedicated batch workers drain up to
-//! [`BatchConfig::max_batch`] rows at a time — waiting at most
-//! [`BatchConfig::flush`] after the first row arrives so singles are not
-//! delayed indefinitely — run one `FittedModel::predict` over the whole
-//! batch, and fan results back out.
+//! bridges the two: [`Batcher::submit_with`] enqueues a row into a
+//! bounded queue together with the [`ShardSink`] its answer goes to;
+//! dedicated batch workers drain up to [`BatchConfig::max_batch`] rows at
+//! a time — waiting at most [`BatchConfig::flush`] after the first row
+//! arrives so singles are not delayed indefinitely — run one
+//! `FittedModel::predict` over the whole batch, and fan results back out.
 //!
 //! **Admission control:** when the queue already holds
-//! [`BatchConfig::queue_cap`] rows, `submit` fails *immediately* with
+//! [`BatchConfig::queue_cap`] rows, `submit_with` fails *immediately* with
 //! [`SubmitError::Overloaded`]. The front end turns that into an explicit
 //! 503 so an overloaded service sheds work in bounded time instead of
 //! stacking latency until clients time out.
@@ -20,10 +20,10 @@
 //! rows, never their arithmetic, so results are bitwise identical to
 //! offline single-row prediction.
 
+use crate::eventloop::ShardSink;
 use crate::metrics::ServerMetrics;
 use crate::registry::{LoadedModel, ModelRegistry};
 use std::collections::VecDeque;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -113,34 +113,12 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// Where a finished prediction goes. Blocking workers park on a channel;
-/// the event loop attaches a plain-data completion address
-/// ([`crate::eventloop::ShardSink`] — no boxed closure, no allocation)
-/// that enqueues the prediction for the poller, so no event-loop thread
-/// ever blocks on inference. Delivery hands the row vector back too, so
-/// the event loop can recycle it through its row pool.
-pub enum ReplySink {
-    Channel(SyncSender<Prediction>),
-    Shard(crate::eventloop::ShardSink),
-}
-
-impl ReplySink {
-    fn deliver(self, p: Prediction, row: Vec<f64>) {
-        match self {
-            // A dropped receiver (client hung up) is not an error. The
-            // blocking path has no row pool; the vector just drops.
-            ReplySink::Channel(tx) => {
-                let _ = tx.send(p);
-            }
-            ReplySink::Shard(sink) => sink.deliver(p, row),
-        }
-    }
-}
-
 struct Job {
     row: Vec<f64>,
     enqueued: Instant,
-    reply: ReplySink,
+    /// The shard's completion address; delivery hands the row vector back
+    /// too, so the shard can recycle it through its row pool.
+    reply: ShardSink,
     /// `Some(buffer)` marks an `/explain` submission: the batch worker
     /// fills the buffer with per-feature contributions. The vector is
     /// caller-supplied so the event loop can recycle it through a pool.
@@ -201,30 +179,15 @@ impl Batcher {
     }
 
     /// Enqueue one row (serving-schema layout). Non-blocking: either the
-    /// row is admitted and the returned receiver will yield exactly one
-    /// [`Prediction`], or the queue is full / shutting down.
-    pub fn submit(&self, row: Vec<f64>) -> Result<Receiver<Prediction>, SubmitError> {
-        let (reply, rx) = sync_channel(1);
-        self.submit_with(row, None, ReplySink::Channel(reply))?;
-        Ok(rx)
-    }
-
-    /// Enqueue one row whose reply carries an [`Explanation`].
-    pub fn submit_explain(&self, row: Vec<f64>) -> Result<Receiver<Prediction>, SubmitError> {
-        let (reply, rx) = sync_channel(1);
-        self.submit_with(row, Some(Vec::new()), ReplySink::Channel(reply))?;
-        Ok(rx)
-    }
-
-    /// Enqueue one row with an explicit reply sink. Every admitted sink
-    /// is delivered exactly once, even across shutdown (the drain in
-    /// [`Batcher::shutdown`] finishes the queue before workers exit).
-    /// `explain: Some(buffer)` requests per-feature attributions.
+    /// row is admitted and `reply` is delivered exactly one [`Prediction`],
+    /// even across shutdown (the drain in [`Batcher::shutdown`] finishes
+    /// the queue before workers exit), or the queue is full / shutting
+    /// down. `explain: Some(buffer)` requests per-feature attributions.
     pub fn submit_with(
         &self,
         row: Vec<f64>,
         explain: Option<Vec<f64>>,
-        reply: ReplySink,
+        reply: ShardSink,
     ) -> Result<(), SubmitError> {
         let notify = {
             let mut q = self.shared.queue.lock().expect("batch queue poisoned");
@@ -298,7 +261,7 @@ fn batch_loop(shared: &Shared) {
     let cfg = &shared.cfg;
     let mut batch: Vec<Job> = Vec::new();
     let mut rows: Vec<Vec<f64>> = Vec::new();
-    let mut replies: Vec<(Instant, ReplySink, Option<Vec<f64>>)> = Vec::new();
+    let mut replies: Vec<(Instant, ShardSink, Option<Vec<f64>>)> = Vec::new();
     let mut rates: Vec<f64> = Vec::new();
     let mut scratch = wdt_model::PredictScratch::default();
     let mut explain_scratch = wdt_model::PredictScratch::default();
@@ -394,6 +357,7 @@ fn batch_loop(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eventloop::TestShard;
     use crate::registry::{ModelRegistry, ServeSchema};
     use wdt_features::Dataset;
     use wdt_model::{FitConfig, FittedModel, ModelKind};
@@ -424,13 +388,14 @@ mod tests {
         let metrics = Arc::new(ServerMetrics::new());
         let batcher = Batcher::start(registry.clone(), metrics.clone(), BatchConfig::default());
         let w = registry.schema().width();
+        let mut shard = TestShard::new();
 
         let rows: Vec<Vec<f64>> =
             (0..64).map(|i| (0..w).map(|j| ((i + j * 7) % 23) as f64 / 3.0).collect()).collect();
-        let handles: Vec<_> =
-            rows.iter().map(|row| batcher.submit(row.clone()).expect("admit")).collect();
-        for (row, rx) in rows.iter().zip(handles) {
-            let p = rx.recv().expect("reply");
+        for (seq, row) in rows.iter().enumerate() {
+            batcher.submit_with(row.clone(), None, shard.sink(seq as u64)).expect("admit");
+        }
+        for (row, p) in rows.iter().zip(shard.wait_for(rows.len())) {
             let expect = offline.predict_row(row);
             assert_eq!(p.rate.to_bits(), expect.to_bits(), "row {row:?}");
             assert_eq!(&*p.version, "v1");
@@ -446,9 +411,11 @@ mod tests {
         let metrics = Arc::new(ServerMetrics::new());
         let batcher = Batcher::start(registry.clone(), metrics, BatchConfig::default());
         let w = registry.schema().width();
+        let mut shard = TestShard::new();
         for i in 0..8usize {
             let row: Vec<f64> = (0..w).map(|j| ((i + j * 5) % 13) as f64 / 2.0).collect();
-            let p = batcher.submit_explain(row.clone()).expect("admit").recv().expect("reply");
+            batcher.submit_with(row.clone(), Some(Vec::new()), shard.sink(0)).expect("admit");
+            let p = shard.wait_for(1).pop().expect("reply");
             let e = p.explain.as_ref().expect("explanation present");
             let fold = e.contributions.iter().fold(e.bias, |a, &c| a + c);
             assert_eq!(fold.to_bits(), p.rate.to_bits(), "row {i}: fold must hit the rate");
@@ -476,21 +443,20 @@ mod tests {
         };
         let batcher = Batcher::start(registry.clone(), metrics, cfg);
         let w = registry.schema().width();
+        let mut shard = TestShard::new();
 
-        let mut admitted = Vec::new();
+        let mut admitted = 0usize;
         let mut shed = 0usize;
-        for _ in 0..32 {
-            match batcher.submit(vec![1.0; w]) {
-                Ok(rx) => admitted.push(rx),
+        for seq in 0..32 {
+            match batcher.submit_with(vec![1.0; w], None, shard.sink(seq)) {
+                Ok(()) => admitted += 1,
                 Err(SubmitError::Overloaded) => shed += 1,
                 Err(e) => panic!("unexpected {e}"),
             }
         }
         assert!(shed > 0, "expected overload shedding");
         // Every admitted request still completes.
-        for rx in admitted {
-            rx.recv_timeout(Duration::from_secs(5)).expect("admitted request must complete");
-        }
+        assert_eq!(shard.wait_for(admitted).len(), admitted);
         batcher.shutdown();
     }
 
@@ -501,13 +467,16 @@ mod tests {
         let cfg = BatchConfig { flush: Duration::from_millis(50), ..Default::default() };
         let batcher = Batcher::start(registry.clone(), metrics, cfg);
         let w = registry.schema().width();
-        let handles: Vec<_> =
-            (0..16).map(|_| batcher.submit(vec![2.0; w]).expect("admit")).collect();
-        batcher.shutdown();
-        for rx in handles {
-            rx.recv_timeout(Duration::from_secs(1)).expect("drained reply");
+        let mut shard = TestShard::new();
+        for seq in 0..16 {
+            batcher.submit_with(vec![2.0; w], None, shard.sink(seq)).expect("admit");
         }
+        batcher.shutdown();
+        assert_eq!(shard.wait_for(16).len(), 16, "drained replies");
         // Post-shutdown submissions are refused.
-        assert_eq!(batcher.submit(vec![0.0; w]).err(), Some(SubmitError::ShuttingDown));
+        assert_eq!(
+            batcher.submit_with(vec![0.0; w], None, shard.sink(16)).err(),
+            Some(SubmitError::ShuttingDown)
+        );
     }
 }

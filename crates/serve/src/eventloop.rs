@@ -1,14 +1,30 @@
-//! Nonblocking readiness event-loop HTTP front end.
+//! The HTTP front end: a nonblocking readiness event loop.
 //!
-//! The threaded front end (`server.rs`) spends one OS thread per open
-//! connection; a thousand idle keep-alive clients cost a thousand parked
-//! threads. Here, `acceptors` poller shards each own a set of
-//! connections as plain state — a read buffer feeding the shared
-//! incremental [`RequestParser`], a pending write buffer, and a few
-//! flags — and multiplex them over `poll(2)` (via `shim.rs`). An idle
-//! connection costs the bytes of its [`Conn`] struct and one pollfd
-//! entry, nothing else; thread count is fixed at startup regardless of
-//! connection count.
+//! `acceptors` poller shards each own a set of connections as plain
+//! state — a read buffer feeding the incremental [`RequestParser`], a
+//! pending write buffer, and a few flags — and multiplex them over
+//! `poll(2)` (via `shim.rs`). An idle keep-alive connection costs the
+//! bytes of its [`Conn`] struct and one pollfd entry, not a thread;
+//! thread count is fixed at startup regardless of connection count.
+//!
+//! ## Endpoints
+//!
+//! | Route | Meaning |
+//! |---|---|
+//! | `POST /predict` | body `{"<feature>": <num>, …}` → `{"rate", "version", "batch_size"}` |
+//! | `POST /explain` | same body → the prediction plus per-feature attributions |
+//! | `GET /healthz` | liveness + current model version |
+//! | `GET /metrics` | counters and latency/batch histograms (p50/p95/p99) |
+//! | `GET /metrics.prom` | the same in Prometheus text format |
+//! | `GET /alerts` | the process-wide alert ring |
+//! | `POST /reload` | rescan the model directory, hot-swap if newer |
+//! | `POST /shutdown` | begin graceful shutdown (used by tests/CI) |
+//!
+//! Feature maps may omit features (they default to 0.0 — the natural
+//! encoding for "no competing load observed") but may not name unknown
+//! features or carry non-finite values; both are 400s. Overload is an
+//! explicit 503 `{"error":"overloaded"}` from the batcher's admission
+//! control, never a stalled socket.
 //!
 //! ## Data flow
 //!
@@ -23,14 +39,13 @@
 //! yields a frame of byte ranges into the read buffer, `routes::route`
 //! reads method/path/body straight out of that window, and `/predict`
 //! rows are scanned into vectors recycled through a per-shard pool. Rows
-//! go to the batcher with a **plain-data** sink
-//! ([`crate::batcher::ReplySink::Shard`] — a [`ShardSink`] of five words,
-//! no boxed closure), so the poller never blocks on inference: the batch
-//! worker pushes the raw [`Prediction`] (plus the row, for the pool) onto
-//! the shard's completion queue and pokes the wake socket (a loopback
-//! `TcpStream` pair — `poll` can wait on sockets only, and the wake write
-//! is coalesced by an atomic flag so a busy shard is poked once per
-//! wakeup, not once per response).
+//! go to the batcher with a **plain-data** reply sink (a [`ShardSink`] of
+//! five words, no boxed closure), so the poller never blocks on
+//! inference: the batch worker pushes the raw [`Prediction`] (plus the
+//! row, for the pool) onto the shard's completion queue and pokes the
+//! wake socket (a loopback `TcpStream` pair — `poll` can wait on sockets
+//! only, and the wake write is coalesced by an atomic flag so a busy
+//! shard is poked once per wakeup, not once per response).
 //!
 //! ## Coalesced writes
 //!
@@ -46,23 +61,21 @@
 //!
 //! ## Timeouts
 //!
-//! Two distinct clocks, same semantics as the blocking front end:
-//! the 200 ms poll tick bounds how stale the shutdown flag and deadline
-//! sweep can be (an *idle* connection just keeps sitting there, free);
-//! the per-request deadline starts at a request's first byte and answers
-//! **408** if the request is still incomplete when it expires. Slow
-//! clients who keep trickling bytes inside the deadline are served
-//! normally — the bug class this front end was built not to have.
+//! Two distinct clocks: the 200 ms poll tick bounds how stale the
+//! shutdown flag and deadline sweep can be (an *idle* connection just
+//! keeps sitting there, free); the per-request deadline starts at a
+//! request's first byte and answers **408** if the request is still
+//! incomplete when it expires. Slow clients who keep trickling bytes
+//! inside the deadline are served normally.
 
-use crate::batcher::{Batcher, Prediction, ReplySink};
-use crate::http::{render_response_into, HttpError, RequestParser};
+use crate::batcher::{BatchConfig, Batcher, Prediction};
+use crate::http::{render_response_into, HttpError, RequestParser, DEFAULT_REQUEST_DEADLINE};
 use crate::metrics::ServerMetrics;
 use crate::registry::ModelRegistry;
 use crate::routes::{
     explain_body, prediction_body, protocol_error_response, route, submit_error_response, Body,
     Ctx, Routed, BODY_NON_FINITE,
 };
-use crate::server::{Frontend, ServeConfig, Server};
 use crate::shim::{poll_fds, writev_fds, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -72,6 +85,36 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Front-end configuration.
+#[derive(Debug, Clone)]
+pub struct ServeConfig {
+    /// Port to bind on 127.0.0.1 (0 → ephemeral, see
+    /// [`EventLoopServer::addr`]).
+    pub port: u16,
+    /// Acceptor/poller shards.
+    pub acceptors: usize,
+    /// Wall-clock budget for one request to arrive in full once its
+    /// first byte is seen; expiry answers 408.
+    pub request_deadline: Duration,
+    /// Micro-batching knobs.
+    pub batch: BatchConfig,
+    /// How many top-|contribution| features `/explain` names in its
+    /// `top` array (the full contribution vector is always included).
+    pub explain_top: usize,
+}
+
+impl Default for ServeConfig {
+    fn default() -> Self {
+        ServeConfig {
+            port: 0,
+            acceptors: 2,
+            request_deadline: DEFAULT_REQUEST_DEADLINE,
+            batch: BatchConfig::default(),
+            explain_top: 5,
+        }
+    }
+}
 
 /// Poll timeout: how often a shard re-checks the stopping flag and
 /// sweeps request deadlines even with no socket activity.
@@ -383,7 +426,15 @@ impl EventLoopServer {
 /// One listener per shard via `SO_REUSEPORT` when the platform allows,
 /// else one shared listener cloned into every slot. The first listener
 /// resolves an ephemeral `port: 0`; siblings bind the resolved port.
+///
+/// A fixed port that is already bound fails with `AddrInUse`:
+/// `SO_REUSEPORT` alone would let a second server by the same user join
+/// the port, and the kernel would split connections between the two.
+/// A plain bind refuses a taken port, so one is tried and dropped first.
 fn bind_listeners(port: u16, n: usize) -> std::io::Result<(Vec<Arc<TcpListener>>, bool)> {
+    if port != 0 {
+        drop(TcpListener::bind(("127.0.0.1", port))?);
+    }
     let attempt = (|| -> std::io::Result<Vec<Arc<TcpListener>>> {
         let first = crate::shim::reuseport_listener(port)?;
         first.set_nonblocking(true)?;
@@ -403,68 +454,6 @@ fn bind_listeners(port: u16, n: usize) -> std::io::Result<(Vec<Arc<TcpListener>>
             l.set_nonblocking(true)?;
             let l = Arc::new(l);
             Ok((vec![l; n], false))
-        }
-    }
-}
-
-/// Either front end, behind one handle — CLI and tests pick at runtime.
-pub enum AnyServer {
-    Threaded(Arc<Server>),
-    EventLoop(Arc<EventLoopServer>),
-}
-
-impl AnyServer {
-    /// Start the configured front end.
-    pub fn start(
-        registry: Arc<ModelRegistry>,
-        cfg: ServeConfig,
-        frontend: Frontend,
-    ) -> std::io::Result<AnyServer> {
-        Ok(match frontend {
-            Frontend::Threaded => AnyServer::Threaded(Server::start(registry, cfg)?),
-            Frontend::EventLoop => AnyServer::EventLoop(EventLoopServer::start(registry, cfg)?),
-        })
-    }
-
-    pub fn addr(&self) -> SocketAddr {
-        match self {
-            AnyServer::Threaded(s) => s.addr(),
-            AnyServer::EventLoop(s) => s.addr(),
-        }
-    }
-
-    pub fn metrics(&self) -> &ServerMetrics {
-        match self {
-            AnyServer::Threaded(s) => s.metrics(),
-            AnyServer::EventLoop(s) => s.metrics(),
-        }
-    }
-
-    pub fn registry(&self) -> &ModelRegistry {
-        match self {
-            AnyServer::Threaded(s) => s.registry(),
-            AnyServer::EventLoop(s) => s.registry(),
-        }
-    }
-
-    pub fn stopping(&self) -> bool {
-        match self {
-            AnyServer::Threaded(s) => s.stopping(),
-            AnyServer::EventLoop(s) => s.stopping(),
-        }
-    }
-
-    pub fn wait_until_stopping(&self, period: Duration) {
-        match self {
-            AnyServer::Threaded(s) => s.wait_until_stopping(period),
-            AnyServer::EventLoop(s) => s.wait_until_stopping(period),
-        }
-    }
-
-    pub fn shutdown(&self) {
-        match self {
-            AnyServer::Threaded(s) => s.shutdown(),
-            AnyServer::EventLoop(s) => s.shutdown(),
         }
     }
 }
@@ -697,13 +686,11 @@ fn shard_loop(
                 // The 408 takes the next sequence slot, so responses to
                 // requests that did arrive in time are written first.
                 c.read_closed = true;
-                if let Some((status, reason, body)) = protocol_error_response(&HttpError::Deadline)
-                {
-                    ctx.metrics.on_response(status);
-                    let seq = c.next_seq;
-                    c.next_seq += 1;
-                    stage(c, seq, Pending::Raw(status, reason, body, true), ctx, &mut scratch);
-                }
+                let (status, reason, body) = protocol_error_response(&HttpError::Deadline);
+                ctx.metrics.on_response(status);
+                let seq = c.next_seq;
+                c.next_seq += 1;
+                stage(c, seq, Pending::Raw(status, reason, body, true), ctx, &mut scratch);
                 flush_conn(c)
             };
             if finished {
@@ -832,13 +819,13 @@ fn process_requests(
                             Routed::Explain => Some(scratch.contrib_pool.pop().unwrap_or_default()),
                             _ => None,
                         };
-                        let sink = ReplySink::Shard(ShardSink {
+                        let sink = ShardSink {
                             shared: shared.clone(),
                             token: c.token,
                             seq,
                             close,
                             started: Instant::now(),
-                        });
+                        };
                         match ctx.batcher.submit_with(row, explain, sink) {
                             Ok(()) => c.in_flight += 1,
                             Err(e) => {
@@ -869,15 +856,11 @@ fn process_requests(
             }
             Err(e) => {
                 c.read_closed = true;
-                if let Some((status, reason, body)) = protocol_error_response(&e) {
-                    ctx.metrics.on_response(status);
-                    let seq = c.next_seq;
-                    c.next_seq += 1;
-                    stage(c, seq, Pending::Raw(status, reason, body, true), ctx, scratch);
-                } else if c.in_flight == 0 && c.stash.is_empty() {
-                    // Nothing pending and nothing to answer: drop now.
-                    c.close_after_write = true;
-                }
+                let (status, reason, body) = protocol_error_response(&e);
+                ctx.metrics.on_response(status);
+                let seq = c.next_seq;
+                c.next_seq += 1;
+                stage(c, seq, Pending::Raw(status, reason, body, true), ctx, scratch);
                 return;
             }
         }
@@ -905,4 +888,55 @@ fn flush_conn(c: &mut Conn) -> bool {
     // Out buffer drained: close if asked, or if the peer can no longer
     // send anything and nothing is pending.
     c.close_after_write || (c.read_closed && c.idle())
+}
+
+/// A shard completion queue with no poller behind it: batcher unit tests
+/// submit through real [`ShardSink`]s and collect the deliveries here.
+#[cfg(test)]
+pub(crate) struct TestShard {
+    shared: Arc<ShardShared>,
+    wake_rx: TcpStream,
+}
+
+#[cfg(test)]
+impl TestShard {
+    pub(crate) fn new() -> TestShard {
+        let (wake_rx, wake_tx) = waker_pair().expect("waker pair");
+        wake_rx.set_nonblocking(false).expect("blocking wake socket");
+        wake_rx.set_read_timeout(Some(Duration::from_secs(10))).expect("wake timeout");
+        let shared = Arc::new(ShardShared {
+            completions: Mutex::new(Vec::new()),
+            waker: Waker { tx: wake_tx, pending: AtomicBool::new(false) },
+        });
+        TestShard { shared, wake_rx }
+    }
+
+    /// The reply sink for request number `seq`.
+    pub(crate) fn sink(&self, seq: u64) -> ShardSink {
+        ShardSink {
+            shared: self.shared.clone(),
+            token: 0,
+            seq,
+            close: false,
+            started: Instant::now(),
+        }
+    }
+
+    /// Block until `n` predictions have been delivered (at most ten
+    /// seconds between deliveries) and return them in request order.
+    pub(crate) fn wait_for(&mut self, n: usize) -> Vec<Prediction> {
+        loop {
+            // Re-arm before looking, as the shard loop does, so a delivery
+            // racing the check pokes the socket again.
+            self.shared.waker.pending.store(false, Ordering::Release);
+            {
+                let mut q = self.shared.completions.lock().expect("completion queue");
+                if q.len() >= n {
+                    q.sort_by_key(|c| c.seq);
+                    return q.drain(..).map(|c| c.pred).collect();
+                }
+            }
+            self.wake_rx.read_exact(&mut [0u8; 1]).expect("a delivery within the timeout");
+        }
+    }
 }

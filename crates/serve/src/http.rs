@@ -1,4 +1,4 @@
-//! A deliberately small HTTP/1.1 implementation over `std::net`.
+//! A deliberately small HTTP/1.1 implementation.
 //!
 //! Enough of the protocol for a loopback/intranet prediction service and
 //! its load generator: request line + headers + `Content-Length` bodies,
@@ -9,45 +9,20 @@
 //!
 //! The parsing core is the **incremental** [`RequestParser`]: push
 //! whatever bytes the socket produced, ask whether a complete request is
-//! buffered. Both front ends share it — the blocking worker loop feeds it
-//! from timed reads in [`read_request`], the event loop feeds it from
-//! readiness-driven nonblocking reads — so slow peers are handled
-//! identically everywhere: a request may arrive one byte at a time across
-//! any number of timeout ticks, and is only abandoned (with a 408) when
-//! the *per-request deadline* expires, never because a single read timed
-//! out mid-request.
+//! buffered. It never touches a socket, so a request may arrive one byte
+//! at a time across any number of reads; the event loop abandons it
+//! (with a 408) only when the *per-request deadline* expires.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Longest accepted request line + headers, bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Largest accepted request body, bytes. Prediction bodies are a few
 /// hundred bytes; this leaves room for batched client extensions.
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
-/// Socket-timeout tick used by the blocking front end: how often a quiet
-/// connection wakes to observe shutdown. NOT a request deadline — a
-/// request may straddle any number of ticks.
-pub const IDLE_TICK: Duration = Duration::from_millis(200);
 /// Default wall-clock budget for one request to arrive in full once its
 /// first byte has been seen. Expiry answers 408 Request Timeout.
 pub const DEFAULT_REQUEST_DEADLINE: Duration = Duration::from_secs(5);
-
-/// A parsed request with owned fields — the convenient form used by the
-/// blocking front end and tests. The event loop's hot path uses
-/// [`Frame`] instead, which borrows from the parser's buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
-    /// `GET`, `POST`, …
-    pub method: String,
-    /// Path component, e.g. `/predict`.
-    pub path: String,
-    /// Raw body bytes (empty when no `Content-Length`).
-    pub body: Vec<u8>,
-    /// Client asked to close after this exchange.
-    pub close: bool,
-}
 
 /// Request method, pre-classified so routing does not compare strings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,37 +83,25 @@ impl Frame {
     }
 }
 
-/// Protocol-level failure while reading a request.
+/// Protocol-level failure while reading a request; each is answered
+/// before the connection closes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HttpError {
-    /// Read timeout fired while the connection was quiet (no request in
-    /// progress). Keep-alive servers use socket timeouts so idle
-    /// connections wake periodically to observe shutdown; this variant
-    /// means "nothing happened", not a protocol error.
-    Idle,
     /// The per-request deadline expired with a request still partially
     /// delivered. Answered with 408 Request Timeout.
     Deadline,
-    /// Peer closed before a complete request (clean EOF between
-    /// requests is reported as `Ok(None)` instead).
-    Truncated,
     /// Malformed request line or header.
     Malformed(String),
     /// Head or body over the configured limits.
     TooLarge(&'static str),
-    /// Underlying socket error.
-    Io(String),
 }
 
 impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HttpError::Idle => write!(f, "idle timeout"),
             HttpError::Deadline => write!(f, "request deadline expired"),
-            HttpError::Truncated => write!(f, "connection closed mid-request"),
             HttpError::Malformed(m) => write!(f, "malformed request: {m}"),
             HttpError::TooLarge(what) => write!(f, "{what} too large"),
-            HttpError::Io(m) => write!(f, "io: {m}"),
         }
     }
 }
@@ -152,16 +115,14 @@ impl std::error::Error for HttpError {}
 const COMPACT_AT: usize = 4096;
 
 /// Incremental request parser: a byte buffer plus "is a complete request
-/// buffered yet?". Feed it with [`RequestParser::push`] from any read
-/// strategy (blocking with timeouts, nonblocking readiness); it never
+/// buffered yet?". Feed it with [`RequestParser::push`]; it never
 /// touches a socket itself.
 ///
 /// Consumption is cursor-based: [`RequestParser::peek`] describes the
 /// frontmost complete request as byte ranges ([`Frame`]) without copying
-/// anything, and [`RequestParser::consume`] advances past it — the old
+/// anything, and [`RequestParser::consume`] advances past it — no
 /// `Vec::drain` per request (an O(buffered-bytes) memmove under
-/// pipelining) is gone. [`RequestParser::try_take`] wraps the pair for
-/// callers that want owned [`Request`]s.
+/// pipelining).
 #[derive(Debug, Default)]
 pub struct RequestParser {
     buf: Vec<u8>,
@@ -228,23 +189,6 @@ impl RequestParser {
             self.buf.clear();
             self.pos = 0;
         }
-    }
-
-    /// Take one complete request off the front of the buffer if fully
-    /// delivered, leaving any pipelined surplus for the next call.
-    pub fn try_take(&mut self) -> Result<Option<Request>, HttpError> {
-        let Some(frame) = self.peek()? else {
-            return Ok(None);
-        };
-        let window = self.window();
-        let req = Request {
-            method: String::from_utf8_lossy(frame.method_bytes(window)).into_owned(),
-            path: String::from_utf8_lossy(frame.path_bytes(window)).into_owned(),
-            body: frame.body(window).to_vec(),
-            close: frame.close,
-        };
-        self.consume(frame.wire_len());
-        Ok(Some(req))
     }
 }
 
@@ -347,58 +291,6 @@ fn parse_head(window: &[u8], head_len: usize) -> Result<Frame, HttpError> {
     })
 }
 
-/// Read one request off a blocking keep-alive connection whose socket
-/// read timeout is [`IDLE_TICK`].
-///
-/// Returns `Ok(None)` on clean EOF (peer finished and closed), which is
-/// the normal end of a keep-alive session. A timeout tick with no request
-/// in progress is [`HttpError::Idle`] (wake to observe shutdown, then
-/// call again); ticks *during* a request just keep reading until
-/// `deadline` has elapsed since the request's first byte, at which point
-/// the error is [`HttpError::Deadline`] and the caller answers 408.
-pub fn read_request(
-    stream: &mut TcpStream,
-    parser: &mut RequestParser,
-    deadline: Duration,
-) -> Result<Option<Request>, HttpError> {
-    // A pipelined request may already be buffered from a previous read.
-    if let Some(req) = parser.try_take()? {
-        return Ok(Some(req));
-    }
-    let mut started: Option<Instant> = parser.has_partial().then(Instant::now);
-    let mut chunk = [0u8; 4096];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return if parser.has_partial() { Err(HttpError::Truncated) } else { Ok(None) };
-            }
-            Ok(n) => {
-                parser.push(&chunk[..n]);
-                if let Some(req) = parser.try_take()? {
-                    return Ok(Some(req));
-                }
-                started.get_or_insert_with(Instant::now);
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                match started {
-                    // Quiet tick between requests: an idle wakeup.
-                    None => return Err(HttpError::Idle),
-                    Some(t0) if t0.elapsed() >= deadline => return Err(HttpError::Deadline),
-                    // Slow but inside its budget: keep reading.
-                    Some(_) => {}
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(HttpError::Io(e.to_string())),
-        }
-    }
-}
-
 /// Static head template for the overwhelmingly common response shape,
 /// up to the Content-Length digits.
 const HEAD_200_PREFIX: &[u8] =
@@ -451,84 +343,48 @@ pub fn render_response_into<W: std::io::Write>(
     let _ = out.write_all(body);
 }
 
-/// Render a response (head + JSON body) as one contiguous byte vector, so
-/// front ends can answer with a single `write` syscall.
-pub fn render_response(status: u16, reason: &str, body: &str, close: bool) -> Vec<u8> {
-    let mut out = Vec::with_capacity(96 + body.len());
-    render_response_into(&mut out, status, reason, body.as_bytes(), close);
-    out
-}
-
-/// Write a response with a JSON body.
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    reason: &str,
-    body: &str,
-    close: bool,
-) -> std::io::Result<()> {
-    stream.write_all(&render_response(status, reason, body, close))?;
-    stream.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
+
+    /// One request taken off a parser, with owned fields.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Parsed {
+        method: Vec<u8>,
+        path: Vec<u8>,
+        body: Vec<u8>,
+        close: bool,
+    }
+
+    /// Peek and consume the frontmost request, if fully buffered.
+    fn take(p: &mut RequestParser) -> Result<Option<Parsed>, HttpError> {
+        let Some(f) = p.peek()? else { return Ok(None) };
+        let win = p.window();
+        let req = Parsed {
+            method: f.method_bytes(win).to_vec(),
+            path: f.path_bytes(win).to_vec(),
+            body: f.body(win).to_vec(),
+            close: f.close,
+        };
+        p.consume(f.wire_len());
+        Ok(Some(req))
+    }
 
     /// Parse a full byte sequence through the incremental parser.
-    fn parse_whole(input: &[u8]) -> Result<Option<Request>, HttpError> {
+    fn parse_whole(input: &[u8]) -> Result<Option<Parsed>, HttpError> {
         let mut p = RequestParser::new();
         p.push(input);
-        p.try_take()
-    }
-
-    /// Push raw bytes through a real socket and parse them with the
-    /// blocking reader (writer closes when done, like a one-shot client).
-    fn parse_bytes(input: &[u8]) -> Result<Option<Request>, HttpError> {
-        parse_socket(input, &[])
-    }
-
-    /// Like [`parse_bytes`], but the writer sleeps between the two script
-    /// segments — long enough to straddle the [`IDLE_TICK`] socket
-    /// timeout when `pause` exceeds it.
-    fn parse_socket(first: &[u8], rest: &[u8]) -> Result<Option<Request>, HttpError> {
-        parse_socket_deadline(first, rest, Duration::from_millis(320), DEFAULT_REQUEST_DEADLINE)
-    }
-
-    fn parse_socket_deadline(
-        first: &[u8],
-        rest: &[u8],
-        pause: Duration,
-        deadline: Duration,
-    ) -> Result<Option<Request>, HttpError> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let (first, rest) = (first.to_vec(), rest.to_vec());
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(&first).unwrap();
-            if !rest.is_empty() {
-                std::thread::sleep(pause);
-                s.write_all(&rest).unwrap();
-            }
-        });
-        let (mut conn, _) = listener.accept().unwrap();
-        conn.set_read_timeout(Some(IDLE_TICK)).unwrap();
-        let mut parser = RequestParser::new();
-        let out = read_request(&mut conn, &mut parser, deadline);
-        writer.join().unwrap();
-        out
+        take(&mut p)
     }
 
     #[test]
     fn parses_post_with_body() {
         let req =
-            parse_bytes(b"POST /predict HTTP/1.1\r\nHost: x\r\nContent-Length: 7\r\n\r\n{\"a\":1}")
+            parse_whole(b"POST /predict HTTP/1.1\r\nHost: x\r\nContent-Length: 7\r\n\r\n{\"a\":1}")
                 .unwrap()
                 .unwrap();
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/predict");
+        assert_eq!(req.method, b"POST");
+        assert_eq!(req.path, b"/predict");
         assert_eq!(req.body, b"{\"a\":1}");
         assert!(!req.close, "HTTP/1.1 defaults to keep-alive");
     }
@@ -536,9 +392,9 @@ mod tests {
     #[test]
     fn honors_connection_close_and_http10() {
         let req =
-            parse_bytes(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap().unwrap();
+            parse_whole(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap().unwrap();
         assert!(req.close);
-        let req = parse_bytes(b"GET /healthz HTTP/1.0\r\n\r\n").unwrap().unwrap();
+        let req = parse_whole(b"GET /healthz HTTP/1.0\r\n\r\n").unwrap().unwrap();
         assert!(req.close);
     }
 
@@ -559,20 +415,9 @@ mod tests {
     }
 
     #[test]
-    fn clean_eof_is_none() {
-        assert_eq!(parse_bytes(b"").unwrap(), None);
-    }
-
-    #[test]
-    fn truncated_body_errors() {
-        let err = parse_bytes(b"POST /p HTTP/1.1\r\nContent-Length: 50\r\n\r\nshort").err();
-        assert_eq!(err, Some(HttpError::Truncated));
-    }
-
-    #[test]
     fn malformed_request_line_errors() {
-        assert!(matches!(parse_bytes(b"NONSENSE\r\n\r\n"), Err(HttpError::Malformed(_))));
-        assert!(matches!(parse_bytes(b"GET /x SPDY/99\r\n\r\n"), Err(HttpError::Malformed(_))));
+        assert!(matches!(parse_whole(b"NONSENSE\r\n\r\n"), Err(HttpError::Malformed(_))));
+        assert!(matches!(parse_whole(b"GET /x SPDY/99\r\n\r\n"), Err(HttpError::Malformed(_))));
     }
 
     #[test]
@@ -606,13 +451,13 @@ mod tests {
     #[test]
     fn oversized_declarations_are_rejected() {
         let huge = format!("POST /p HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
-        assert_eq!(parse_bytes(huge.as_bytes()).err(), Some(HttpError::TooLarge("body")));
+        assert_eq!(parse_whole(huge.as_bytes()).err(), Some(HttpError::TooLarge("body")));
         let mut head = String::from("GET /p HTTP/1.1\r\n");
         for i in 0..2000 {
             head.push_str(&format!("X-Pad-{i}: {}\r\n", "y".repeat(64)));
         }
         head.push_str("\r\n");
-        assert_eq!(parse_bytes(head.as_bytes()).err(), Some(HttpError::TooLarge("header")));
+        assert_eq!(parse_whole(head.as_bytes()).err(), Some(HttpError::TooLarge("header")));
     }
 
     #[test]
@@ -620,21 +465,39 @@ mod tests {
         let wire = b"POST /predict HTTP/1.1\r\nContent-Length: 7\r\n\r\n{\"a\":1}";
         let mut p = RequestParser::new();
         for (i, b) in wire.iter().enumerate() {
-            assert_eq!(p.try_take().unwrap(), None, "complete before byte {i}?");
+            assert_eq!(take(&mut p).unwrap(), None, "complete before byte {i}?");
             p.push(std::slice::from_ref(b));
         }
-        let req = p.try_take().unwrap().unwrap();
+        let req = take(&mut p).unwrap().unwrap();
         assert_eq!(req.body, b"{\"a\":1}");
         assert!(!p.has_partial(), "buffer fully consumed");
+    }
+
+    #[test]
+    fn request_split_mid_header_or_before_body_parses_once_complete() {
+        let split = |first: &[u8], rest: &[u8]| {
+            let mut p = RequestParser::new();
+            p.push(first);
+            assert_eq!(take(&mut p).unwrap(), None);
+            assert!(p.has_partial());
+            p.push(rest);
+            let req = take(&mut p).unwrap().expect("complete after the second push");
+            assert!(!p.has_partial());
+            req
+        };
+        let req = split(b"POST /p HTTP/1.1\r\nContent-Length: 7\r\n\r\n", b"{\"a\":1}");
+        assert_eq!(req.body, b"{\"a\":1}");
+        let req = split(b"GET /healthz HTTP/1.1\r\nX-Slow", b"-Header: 1\r\n\r\n");
+        assert_eq!(req.path, b"/healthz");
     }
 
     #[test]
     fn parser_keeps_pipelined_surplus() {
         let mut p = RequestParser::new();
         p.push(b"GET /healthz HTTP/1.1\r\n\r\nGET /metrics HTTP/1.1\r\n\r\n");
-        assert_eq!(p.try_take().unwrap().unwrap().path, "/healthz");
-        assert_eq!(p.try_take().unwrap().unwrap().path, "/metrics");
-        assert_eq!(p.try_take().unwrap(), None);
+        assert_eq!(take(&mut p).unwrap().unwrap().path, b"/healthz");
+        assert_eq!(take(&mut p).unwrap().unwrap().path, b"/metrics");
+        assert_eq!(take(&mut p).unwrap(), None);
     }
 
     #[test]
@@ -651,11 +514,9 @@ mod tests {
                 body.len(),
                 if close { "close" } else { "keep-alive" },
             );
-            assert_eq!(
-                render_response(status, reason, body, close),
-                expected.as_bytes(),
-                "render mismatch for {status} {reason}"
-            );
+            let mut out = Vec::new();
+            render_response_into(&mut out, status, reason, body.as_bytes(), close);
+            assert_eq!(out, expected.as_bytes(), "render mismatch for {status} {reason}");
         }
     }
 
@@ -696,54 +557,8 @@ mod tests {
         p.consume(f.wire_len());
         assert!(p.has_partial());
         p.push(b"TP/1.1\r\n\r\n");
-        let req = p.try_take().unwrap().unwrap();
-        assert_eq!(req.path, "/next");
+        let req = take(&mut p).unwrap().unwrap();
+        assert_eq!(req.path, b"/next");
         assert!(!p.has_partial());
-    }
-
-    #[test]
-    fn slow_body_straddling_timeout_ticks_still_parses() {
-        // Body lands ~320 ms after the head: more than one IDLE_TICK.
-        // The old reader mapped that tick to Truncated and dropped the
-        // connection; now the request completes.
-        let req = parse_socket(b"POST /p HTTP/1.1\r\nContent-Length: 7\r\n\r\n", b"{\"a\":1}")
-            .unwrap()
-            .unwrap();
-        assert_eq!(req.body, b"{\"a\":1}");
-    }
-
-    #[test]
-    fn slow_header_straddling_timeout_ticks_still_parses() {
-        let req = parse_socket(b"GET /healthz HTTP/1.1\r\nX-Slow", b"-Header: 1\r\n\r\n")
-            .unwrap()
-            .unwrap();
-        assert_eq!(req.path, "/healthz");
-    }
-
-    #[test]
-    fn stalled_request_hits_deadline() {
-        // Writer pauses far past the test deadline with the body
-        // undelivered → Deadline (the caller answers 408), not a silent
-        // drop.
-        let err = parse_socket_deadline(
-            b"POST /p HTTP/1.1\r\nContent-Length: 7\r\n\r\n",
-            b"{\"a\":1}",
-            Duration::from_millis(1200),
-            Duration::from_millis(400),
-        )
-        .err();
-        assert_eq!(err, Some(HttpError::Deadline));
-    }
-
-    #[test]
-    fn idle_tick_without_request_is_idle() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let _client = TcpStream::connect(addr).unwrap();
-        let (mut conn, _) = listener.accept().unwrap();
-        conn.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
-        let mut parser = RequestParser::new();
-        let err = read_request(&mut conn, &mut parser, DEFAULT_REQUEST_DEADLINE).err();
-        assert_eq!(err, Some(HttpError::Idle));
     }
 }

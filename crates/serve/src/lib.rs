@@ -16,14 +16,11 @@
 //! * [`batcher`] — a bounded submission queue that coalesces concurrent
 //!   single predictions into batched `predict` calls, and sheds load
 //!   explicitly when full;
-//! * [`server`] — a hand-rolled HTTP/1.1 front end (`TcpListener` +
-//!   fixed worker pool, keep-alive, graceful shutdown) exposing
-//!   `POST /predict`, `GET /healthz`, `GET /metrics`, `POST /reload`,
-//!   and `POST /shutdown`;
-//! * [`eventloop`] — the same HTTP surface on a nonblocking readiness
-//!   event loop (`poll(2)` via [`shim`]): a fixed number of poller
-//!   shards multiplex all connections, so idle keep-alive clients cost
-//!   bytes, not threads. Selected at runtime via [`Frontend`];
+//! * [`eventloop`] — the hand-rolled HTTP/1.1 front end (keep-alive,
+//!   pipelining, graceful shutdown; routes in its module docs) on a
+//!   nonblocking readiness event loop (`poll(2)` via [`shim`]): a fixed
+//!   number of poller shards multiplex all connections, so idle
+//!   keep-alive clients cost bytes, not threads;
 //! * [`loadgen`] — closed- and open-loop load generation over real
 //!   sockets, reporting throughput and latency percentiles.
 //!
@@ -42,14 +39,12 @@ pub mod metrics;
 pub mod registry;
 mod routes;
 mod rowscan;
-pub mod server;
 pub mod shim;
 
 pub use batcher::{BatchConfig, Batcher, Explanation, Prediction, SubmitError};
 pub use client::HttpClient;
-pub use eventloop::{AnyServer, EventLoopServer};
-pub use http::{RequestParser, DEFAULT_REQUEST_DEADLINE, IDLE_TICK};
+pub use eventloop::{EventLoopServer, ServeConfig};
+pub use http::{RequestParser, DEFAULT_REQUEST_DEADLINE};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenMode, LoadgenReport};
 pub use metrics::ServerMetrics;
 pub use registry::{LoadedModel, ModelRegistry, RegistryError, ServeSchema};
-pub use server::{Frontend, ServeConfig, Server};

@@ -310,12 +310,12 @@ fn client_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eventloop::{EventLoopServer, ServeConfig};
     use crate::registry::{ModelRegistry, ServeSchema};
-    use crate::server::{ServeConfig, Server};
     use wdt_features::Dataset;
     use wdt_model::{FitConfig, FittedModel, ModelKind};
 
-    fn start_server(name: &str) -> Arc<Server> {
+    fn start_server(name: &str) -> Arc<EventLoopServer> {
         let dir = std::env::temp_dir().join("wdt-loadgen-tests").join(name);
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -332,10 +332,10 @@ mod tests {
         .unwrap();
         std::fs::write(dir.join("v1.json"), m.to_json()).unwrap();
         let registry = Arc::new(ModelRegistry::open(dir, schema).unwrap());
-        Server::start(registry, ServeConfig::default()).unwrap()
+        EventLoopServer::start(registry, ServeConfig::default()).unwrap()
     }
 
-    fn sample_rows(server: &Server, n: usize) -> (Vec<String>, Vec<Vec<f64>>) {
+    fn sample_rows(server: &EventLoopServer, n: usize) -> (Vec<String>, Vec<Vec<f64>>) {
         let names = server.registry().schema().names().to_vec();
         let w = names.len();
         let rows =

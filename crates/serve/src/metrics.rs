@@ -81,8 +81,8 @@ impl ServerMetrics {
     }
 
     /// Count one *answered* response. This is the only place the request
-    /// and error counters move, and front ends call it exactly once per
-    /// response they write — protocol-level 400/408/413s included — so
+    /// and error counters move, and the front end calls it exactly once
+    /// per response it writes — protocol-level 400/408/413s included — so
     /// `requests >= shed + errors` holds by construction. Connections
     /// that die without a response (peer hangup, socket error) are
     /// counted nowhere.

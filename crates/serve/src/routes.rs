@@ -1,19 +1,15 @@
-//! Routing and response shaping shared by both HTTP front ends.
+//! Routing and response shaping for the HTTP front end.
 //!
-//! The blocking worker pool (`server.rs`) and the nonblocking event loop
-//! (`eventloop.rs`) differ only in how bytes and replies move; *what* a
-//! request means is defined once, here. [`route`] classifies a request
-//! (method/path/body as byte slices — the event loop passes ranges into
-//! its read buffer, the blocking front end passes its owned strings)
-//! into either an immediately-renderable response or a prediction row to
-//! hand to the batcher — the front end decides whether to wait for the
-//! reply (blocking) or to attach a completion (event loop). The caller
-//! supplies the row scratch, so the event loop can recycle row vectors
-//! through its pool while the blocking path just hands over a fresh one.
+//! *What* a request means is defined here; `eventloop.rs` only moves
+//! bytes and replies. [`route`] classifies a request (method/path/body as
+//! byte slices into the connection's read buffer) into either an
+//! immediately-renderable response or a prediction row for the batcher.
+//! The caller supplies the row scratch, so the event loop can recycle row
+//! vectors through its pool.
 //!
 //! Metrics discipline: `route` bumps only the per-endpoint counters. The
 //! request/shed/error counters move in `ServerMetrics::on_response`,
-//! which each front end calls exactly once per response it writes.
+//! which the front end calls exactly once per response it writes.
 //!
 //! Response bodies are `Cow<'static, str>`: the fixed messages
 //! (overload shed, shutdown, deadline, size limits, non-finite guard)
@@ -44,7 +40,7 @@ pub(crate) const BODY_HEADER_TOO_LARGE: &str = "{\"error\":\"header too large\"}
 pub(crate) const BODY_BODY_TOO_LARGE: &str = "{\"error\":\"body too large\"}";
 pub(crate) const BODY_NON_FINITE: &str = "{\"error\":\"non-finite prediction\"}";
 
-/// Shared state both front ends operate on.
+/// Shared state the front end's shards operate on.
 pub(crate) struct Ctx {
     pub registry: Arc<ModelRegistry>,
     pub batcher: Arc<Batcher>,
@@ -59,7 +55,7 @@ pub(crate) enum Routed {
     /// Fully-formed response: status, reason, JSON body.
     Done(u16, &'static str, Body),
     /// A `/predict` row admitted past validation into the caller's `row`
-    /// scratch; the caller submits it to the batcher its own way.
+    /// scratch; the caller submits it to the batcher.
     Predict,
     /// An `/explain` row: same admission as `Predict`, but the caller
     /// requests per-feature attributions alongside the prediction.
@@ -226,26 +222,6 @@ pub(crate) fn explain_body(p: &Prediction, top: usize, out: &mut String) {
     out.push('}');
 }
 
-/// Response for an explained prediction (covers the non-finite guard).
-pub(crate) fn explain_response(p: &Prediction, top: usize) -> (u16, &'static str, Body) {
-    if !p.rate.is_finite() {
-        return (500, "Internal Server Error", BODY_NON_FINITE.into());
-    }
-    let mut body = String::with_capacity(256);
-    explain_body(p, top, &mut body);
-    (200, "OK", body.into())
-}
-
-/// Response for a completed prediction (covers the non-finite guard).
-pub(crate) fn prediction_response(p: &Prediction) -> (u16, &'static str, Body) {
-    if !p.rate.is_finite() {
-        return (500, "Internal Server Error", BODY_NON_FINITE.into());
-    }
-    let mut body = String::with_capacity(64);
-    prediction_body(p, &mut body);
-    (200, "OK", body.into())
-}
-
 /// Response for a refused batcher submission.
 pub(crate) fn submit_error_response(e: &SubmitError) -> (u16, &'static str, Body) {
     match e {
@@ -254,18 +230,13 @@ pub(crate) fn submit_error_response(e: &SubmitError) -> (u16, &'static str, Body
     }
 }
 
-/// Response for a protocol error that still gets an answer before the
-/// connection closes. `Idle`/`Truncated`/`Io` are not answerable and must
-/// be handled by the front end (returns `None`).
-pub(crate) fn protocol_error_response(e: &HttpError) -> Option<(u16, &'static str, Body)> {
+/// Response for a protocol error, answered before the connection closes.
+pub(crate) fn protocol_error_response(e: &HttpError) -> (u16, &'static str, Body) {
     match e {
-        HttpError::Deadline => Some((408, "Request Timeout", BODY_DEADLINE.into())),
-        HttpError::TooLarge("header") => {
-            Some((413, "Payload Too Large", BODY_HEADER_TOO_LARGE.into()))
-        }
-        HttpError::TooLarge(_) => Some((413, "Payload Too Large", BODY_BODY_TOO_LARGE.into())),
-        HttpError::Malformed(_) => Some((400, "Bad Request", error_body(&e.to_string()).into())),
-        HttpError::Idle | HttpError::Truncated | HttpError::Io(_) => None,
+        HttpError::Deadline => (408, "Request Timeout", BODY_DEADLINE.into()),
+        HttpError::TooLarge("header") => (413, "Payload Too Large", BODY_HEADER_TOO_LARGE.into()),
+        HttpError::TooLarge(_) => (413, "Payload Too Large", BODY_BODY_TOO_LARGE.into()),
+        HttpError::Malformed(_) => (400, "Bad Request", error_body(&e.to_string()).into()),
     }
 }
 

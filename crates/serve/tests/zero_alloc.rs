@@ -125,7 +125,6 @@ fn steady_state_allocs(path: &str, dirname: &str) -> u64 {
     let schema_body = predict_body(registry.schema());
     let cfg = ServeConfig {
         port: 0,
-        workers: 1,
         acceptors: 1,
         request_deadline: Duration::from_secs(5),
         batch: BatchConfig {

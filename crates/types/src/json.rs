@@ -399,12 +399,17 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&b[*pos..])
+                // Copy the whole run up to the next quote or backslash at
+                // once. Both are ASCII, so the run ends on a character
+                // boundary and validating it costs its own length only.
+                let end = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(b.len(), |n| *pos + n);
+                let run = std::str::from_utf8(&b[*pos..end])
                     .map_err(|_| JsonError::new("invalid utf8 in string"))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -468,6 +473,18 @@ mod tests {
     fn unicode_and_escapes_parse() {
         let v = JsonValue::parse(r#""café – ☃""#).unwrap();
         assert_eq!(v.as_str().unwrap(), "café – ☃");
+    }
+
+    /// String parsing is linear in the string's length. Re-validating the
+    /// rest of the document as UTF-8 once per character made this input
+    /// take many minutes.
+    #[test]
+    fn multi_megabyte_string_round_trips() {
+        let chunk = "plain ascii, café – ☃ 𝄞 中, \"quoted\" \\ tab\t nl\n ctl\u{1} end/";
+        let s = chunk.repeat(65_536);
+        assert!(s.len() > 4_000_000, "{}", s.len());
+        let text = JsonValue::Str(s.clone()).to_string();
+        assert_eq!(JsonValue::parse(&text).unwrap().as_str().unwrap(), s);
     }
 
     /// Untrusted-input hardening: every malformed shape a client can send

@@ -3,7 +3,7 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
-use wdt_serve::{AnyServer, Frontend, ModelRegistry, ServeConfig, ServeSchema};
+use wdt_serve::{EventLoopServer, ModelRegistry, ServeConfig, ServeSchema};
 
 #[test]
 fn fin_mid_request_then_shutdown() {
@@ -24,7 +24,7 @@ fn fin_mid_request_then_shutdown() {
     std::fs::write(dir.join("v1.json"), model.to_json()).unwrap();
     let registry = Arc::new(ModelRegistry::open(dir, schema).unwrap());
     let cfg = ServeConfig { request_deadline: Duration::from_millis(400), ..Default::default() };
-    let server = AnyServer::start(registry, cfg, Frontend::EventLoop).unwrap();
+    let server = EventLoopServer::start(registry, cfg).unwrap();
 
     // Partial request, then close the socket entirely.
     let mut s = TcpStream::connect(server.addr()).unwrap();

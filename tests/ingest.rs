@@ -23,7 +23,7 @@ use wdt_ingest::{
     IngestConfig, IngestPipeline, RetrainConfig, RetrainDriver, SegmentStore, SwapEvent,
 };
 use wdt_model::ModelKind;
-use wdt_serve::{AnyServer, Frontend, HttpClient, ModelRegistry, ServeConfig, ServeSchema};
+use wdt_serve::{EventLoopServer, HttpClient, ModelRegistry, ServeConfig, ServeSchema};
 use wdt_types::{SimTime, TransferRecord};
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
@@ -68,8 +68,7 @@ fn streamed_campaign_retrains_and_hot_swaps_a_live_server() {
 
     let registry =
         Arc::new(ModelRegistry::open(&model_dir, ServeSchema::prediction()).expect("registry"));
-    let server =
-        AnyServer::start(registry, ServeConfig::default(), Frontend::EventLoop).expect("server");
+    let server = EventLoopServer::start(registry, ServeConfig::default()).expect("server");
     assert_eq!(server.registry().current().version, "v000000");
 
     // Pipeline: on-disk segment store, linear refits every 1000 records,
