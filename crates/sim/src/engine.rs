@@ -112,8 +112,9 @@ pub struct SimStats {
     /// Differential-oracle (from-scratch reference allocator) invocations
     /// (deterministic; 0 unless checking is enabled).
     pub oracle_invocations: u64,
-    /// `drain_waiting` passes over a non-empty waiting queue
-    /// (deterministic).
+    /// `drain_waiting` passes over a non-empty waiting queue. A drain
+    /// runs only after an iteration that completed a transfer, so this
+    /// never exceeds the transfers logged (deterministic).
     pub waiting_drains: u64,
     /// Cumulative wall-clock nanos per `reallocate` phase. Measurement
     /// only, like `realloc_time_s`: excluded from bit-identity
@@ -244,7 +245,8 @@ pub struct Simulator {
     demands: Vec<FlowDemand>,
     slot_of_demand: Vec<usize>,
     alloc_scratch: AllocScratch,
-    waiting_scratch: std::collections::VecDeque<(TransferRequest, TransferMode)>,
+    /// Queue positions `drain_waiting` decided to start.
+    picked: Vec<usize>,
     /// Transfers logged so far. Tracked separately from `records.len()`
     /// because streaming runs drain `records` into a sink as they complete.
     completed: usize,
@@ -303,7 +305,7 @@ impl Simulator {
             demands: Vec::new(),
             slot_of_demand: Vec::new(),
             alloc_scratch: AllocScratch::default(),
-            waiting_scratch: std::collections::VecDeque::new(),
+            picked: Vec::new(),
             completed: 0,
             stats: SimStats::default(),
         }
@@ -691,9 +693,11 @@ impl Simulator {
         (self.now.as_secs() * 1e6) as u64
     }
 
-    /// Complete any flow whose byte counter has reached zero.
+    /// Complete any flow whose byte counter has reached zero, then start
+    /// what the freed slots let through.
     fn harvest_completions(&mut self) {
         let _span = wdt_obs::span_at_detail("sim.harvest_completions", self.sim_us());
+        let before = self.completed;
         for slot in 0..self.flows.len() {
             let done = matches!(
                 &self.flows[slot],
@@ -732,7 +736,11 @@ impl Simulator {
                 self.completed += 1;
             }
         }
-        self.drain_waiting();
+        // Slot counts fall only in `release_slots`, so without a
+        // completion nothing queued can start.
+        if self.completed != before {
+            self.drain_waiting();
+        }
     }
 
     /// Utilization proxy used to modulate the fault intensity: how squeezed
@@ -781,31 +789,37 @@ impl Simulator {
         }
     }
 
-    /// Start any waiting request whose endpoints now have slots (FIFO with
-    /// skipping). Returns true if anything started.
+    /// Start every waiting request whose endpoints now have slots, in FIFO
+    /// order with skipping.
     ///
-    /// Single O(n) rotation: every entry is popped once, started if its
-    /// slots are free and kept (in order) otherwise — `VecDeque::remove`'s
-    /// O(n) shift per started transfer made this quadratic in queue depth.
-    fn drain_waiting(&mut self) -> bool {
-        if !self.waiting.is_empty() {
-            self.stats.waiting_drains += 1;
+    /// One read-only pass claims slots and picks the requests to start;
+    /// then the picked requests leave the queue and start, in queue order.
+    /// Deciding every start before making any changes nothing:
+    /// `start_flow` neither reads nor writes slot counts, so each decision,
+    /// RNG draw and event sequence number is the one made by starting each
+    /// request as the pass finds it. Every queued request was blocked by a
+    /// full endpoint, so each start takes a slot that a completion just
+    /// freed: a drain removes at most two entries per completed transfer.
+    fn drain_waiting(&mut self) {
+        if self.waiting.is_empty() {
+            return;
         }
-        let mut started = false;
-        let mut queue = std::mem::take(&mut self.waiting_scratch);
-        debug_assert!(queue.is_empty());
-        std::mem::swap(&mut queue, &mut self.waiting);
-        for (req, mode) in queue.drain(..) {
-            if self.has_slots(&req) {
-                self.claim_slots(&req);
-                self.start_flow(req, mode);
-                started = true;
-            } else {
-                self.waiting.push_back((req, mode));
+        self.stats.waiting_drains += 1;
+        let waiting = std::mem::take(&mut self.waiting);
+        let mut picked = std::mem::take(&mut self.picked);
+        for (i, (req, _)) in waiting.iter().enumerate() {
+            if self.has_slots(req) {
+                self.claim_slots(req);
+                picked.push(i);
             }
         }
-        self.waiting_scratch = queue;
-        started
+        self.waiting = waiting;
+        for (removed, i) in picked.drain(..).enumerate() {
+            // Each earlier removal moved this entry one place forward.
+            let (req, mode) = self.waiting.remove(i - removed).expect("picked from the queue");
+            self.start_flow(req, mode);
+        }
+        self.picked = picked;
     }
 
     fn start_flow(&mut self, req: TransferRequest, mode: TransferMode) {
@@ -1063,7 +1077,6 @@ impl Simulator {
             if self.completed == total_transfers {
                 break;
             }
-            let active_left = self.flows.iter().flatten().count() > 0;
             let t_event = self.events.peek_time();
             let t_done = self.next_completion();
             let t_next = match (t_event, t_done) {
@@ -1071,7 +1084,7 @@ impl Simulator {
                 (Some(a), None) => a,
                 (None, Some(b)) => b,
                 (None, None) => {
-                    if active_left {
+                    if self.flows.iter().flatten().next().is_some() {
                         // Flows exist but nothing can progress and no event
                         // is pending: impossible with capacity floors.
                         unreachable!("simulation stalled with active flows");
@@ -1431,6 +1444,8 @@ mod tests {
         let out = sim.run();
         assert_eq!(out.records.len(), 502);
         assert_eq!(out.stats.max_queue_depth, 500);
+        // The queue is drained only after a completion.
+        assert!(out.stats.waiting_drains <= out.records.len() as u64);
         let start_of =
             |id: u64| out.records.iter().find(|r| r.id.0 == id).expect("completed").start;
         // Skipping: the first queued 2→3 jumps the blocked 0→2 block.
