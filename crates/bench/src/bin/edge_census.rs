@@ -9,16 +9,15 @@
 
 use std::collections::BTreeMap;
 use wdt_bench::table::TableWriter;
-use wdt_bench::CampaignSpec;
+use wdt_bench::{standard_campaign, standard_log};
 use wdt_features::{edge_census, edge_stats, extract_features};
 use wdt_model::{classify_edges, BoundVerdict, Limiter};
 use wdt_sim::instruments::perfsonar_probe;
 use wdt_types::{EdgeId, SeedSeq};
 
 fn main() {
-    let spec = CampaignSpec::default();
-    let log = spec.simulate_cached();
-    let endpoints = spec.workload().endpoints;
+    let log = standard_log();
+    let endpoints = standard_campaign().workload().endpoints;
     let features = extract_features(&log.records);
 
     // Census.

@@ -4,15 +4,14 @@
 //! Paper result: across 30 heavy edges, median MdAPE 7.0% (linear) and
 //! 4.6% (boosted); boosted beats linear on most edges.
 
+use wdt_bench::standard_log;
 use wdt_bench::table::TableWriter;
-use wdt_bench::CampaignSpec;
 use wdt_features::extract_features;
 use wdt_ml::quantile;
 use wdt_model::{run_per_edge, PerEdgeConfig};
 
 fn main() {
-    let spec = CampaignSpec::default();
-    let log = spec.simulate_cached();
+    let log = standard_log();
     eprintln!("[fig11] extracting features from {} records ...", log.records.len());
     let features = extract_features(&log.records);
 

@@ -7,13 +7,12 @@
 //! transfers separate visibly from intracontinental ones.
 
 use wdt_bench::table::TableWriter;
-use wdt_bench::CampaignSpec;
+use wdt_bench::{standard_campaign, standard_log};
 use wdt_ml::pearson;
 
 fn main() {
-    let spec = CampaignSpec::default();
-    let log = spec.simulate_cached();
-    let endpoints = spec.workload().endpoints;
+    let log = standard_log();
+    let endpoints = standard_campaign().workload().endpoints;
 
     // (distance bin) × (size decade) grid.
     let dist_edges = [0.0, 500.0, 1500.0, 3000.0, 6000.0, 10000.0, 25000.0];

@@ -9,7 +9,7 @@
 //! without it.
 
 use wdt_bench::table::TableWriter;
-use wdt_bench::CampaignSpec;
+use wdt_bench::{standard_campaign, standard_log};
 use wdt_features::{
     eligible_edges, endpoint_caps, extract_features, threshold_filter, TransferFeatures,
 };
@@ -17,9 +17,8 @@ use wdt_geo::rtt_estimate;
 use wdt_model::{build_global_dataset, FitConfig, FittedModel, ModelKind};
 
 fn main() {
-    let spec = CampaignSpec::default();
-    let log = spec.simulate_cached();
-    let endpoints = spec.workload().endpoints;
+    let log = standard_log();
+    let endpoints = standard_campaign().workload().endpoints;
     let features = extract_features(&log.records);
     let filtered = threshold_filter(&features, 0.5);
     let modeled: Vec<_> =

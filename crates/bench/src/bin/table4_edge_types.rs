@@ -6,14 +6,13 @@
 
 use std::collections::BTreeSet;
 use wdt_bench::table::TableWriter;
-use wdt_bench::CampaignSpec;
+use wdt_bench::{standard_campaign, standard_log};
 use wdt_features::{eligible_edges, extract_features};
 use wdt_types::{EdgeId, EndpointType};
 
 fn main() {
-    let spec = CampaignSpec::default();
-    let log = spec.simulate_cached();
-    let endpoints = spec.workload().endpoints;
+    let log = standard_log();
+    let endpoints = standard_campaign().workload().endpoints;
     let features = extract_features(&log.records);
 
     let all_edges: Vec<EdgeId> =

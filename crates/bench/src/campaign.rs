@@ -1,235 +1,21 @@
-//! The standard simulation campaign shared by the experiments.
+//! What every campaign run shares: time sharding, shard merging, and the
+//! merged result with its on-disk cache format.
 //!
-//! Most figures/tables analyze the same "production log". Generating it
-//! means simulating a month of fleet-wide traffic, which takes a minute or
-//! two, so the log is cached on disk (keyed by spec hash) and reloaded by
-//! subsequent experiment binaries.
-//!
-//! The campaign is split into [`CampaignSpec::runs`] independent time
-//! shards, each simulating a contiguous window of the same generated
-//! workload with its own [`SeedSeq`]-derived RNG stream. Shards execute in
-//! parallel and their logs are merged in run-index order, so the parallel
-//! result is bit-identical to the serial one ([`CampaignSpec::simulate`]
-//! vs. [`CampaignSpec::simulate_serial`]). The modeling cost is that
-//! transfers do not contend across a window boundary — negligible for
-//! month-scale campaigns where windows span many days.
+//! A campaign is split into `runs` independent time shards, each
+//! simulating a contiguous window of the same generated workload with its
+//! own [`SeedSeq`](wdt_types::SeedSeq)-derived RNG stream. Shard logs are
+//! merged in run-index order, so parallel execution is bit-identical to
+//! serial. The modeling cost is that transfers do not contend across a
+//! window boundary — negligible for month-scale campaigns where windows
+//! span many days. [`crate::ScenarioCampaign`] is the runner.
 
-use rayon::prelude::*;
-use std::path::PathBuf;
-use wdt_sim::{EndpointCatalog, SimConfig, SimOutput, SimStats, Simulator};
-use wdt_types::{records_from_csv, records_to_csv, SeedSeq, TransferRecord, TransferRequest};
-use wdt_workload::{ArrivalMix, FleetSpec, Workload, WorkloadSpec};
-
-/// Specification of the standard campaign.
-#[derive(Debug, Clone)]
-pub struct CampaignSpec {
-    /// Root seed; every stochastic component derives from it.
-    pub seed: u64,
-    /// Simulated days.
-    pub days: f64,
-    /// Heavy edges to generate (the paper models 30).
-    pub heavy_edges: usize,
-    /// Sparse long-tail edges.
-    pub sparse_edges: usize,
-    /// Background-load processes per endpoint.
-    pub bg_per_endpoint: usize,
-    /// Background-load intensity scale in [0, 1].
-    pub bg_intensity: f64,
-    /// Independent time shards; each simulates `days / runs` of traffic
-    /// with its own derived seed and they execute in parallel.
-    pub runs: usize,
-}
-
-impl Default for CampaignSpec {
-    fn default() -> Self {
-        CampaignSpec {
-            seed: 2017,
-            days: 30.0,
-            heavy_edges: 45,
-            sparse_edges: 400,
-            bg_per_endpoint: 6,
-            bg_intensity: 0.4,
-            runs: 4,
-        }
-    }
-}
-
-impl CampaignSpec {
-    /// A smaller spec for smoke tests and quick iterations.
-    pub fn small() -> Self {
-        CampaignSpec { days: 8.0, heavy_edges: 10, sparse_edges: 80, ..Default::default() }
-    }
-
-    fn cache_key(&self) -> String {
-        format!(
-            "log_s{}_d{}_h{}_sp{}_bg{}x{}_r{}",
-            self.seed,
-            self.days,
-            self.heavy_edges,
-            self.sparse_edges,
-            self.bg_per_endpoint,
-            self.bg_intensity,
-            self.runs
-        )
-    }
-
-    fn cache_path(&self) -> PathBuf {
-        let dir = std::env::var("WDT_CACHE_DIR").unwrap_or_else(|_| "target/wdt-cache".into());
-        PathBuf::from(dir).join(format!("{}.csv", self.cache_key()))
-    }
-
-    /// Generate the workload (fleet + requests) for this spec.
-    pub fn workload(&self) -> Workload {
-        let seed = SeedSeq::new(self.seed);
-        WorkloadSpec {
-            fleet: FleetSpec::default(),
-            heavy_edges: self.heavy_edges,
-            heavy_sessions_per_day: 16.0,
-            heavy_session_len: 5.0,
-            sparse_edges: self.sparse_edges,
-            days: self.days,
-            mix: ArrivalMix::default(),
-        }
-        .generate(&seed)
-    }
-
-    /// Partition the workload's requests into `runs` contiguous
-    /// submit-time windows. Every request lands in exactly one shard, so
-    /// the merged log covers the same request set as a monolithic run.
-    fn shards(&self, workload: &Workload) -> Vec<Vec<TransferRequest>> {
-        shard_by_window(self.days, self.runs, &workload.requests)
-    }
-
-    /// Simulate one time shard with its own derived RNG stream.
-    fn run_shard(
-        &self,
-        endpoints: &EndpointCatalog,
-        run: usize,
-        requests: &[TransferRequest],
-    ) -> SimOutput {
-        let _span = wdt_obs::span("campaign.shard");
-        let root = SeedSeq::new(self.seed);
-        let shard_seed = SeedSeq::new(root.derive_indexed("campaign-run", run as u64));
-        let mut sim = Simulator::new(endpoints.clone(), SimConfig::default(), &shard_seed);
-        sim.add_default_background(self.bg_per_endpoint, self.bg_intensity);
-        for req in requests {
-            sim.submit(req.clone());
-        }
-        sim.run()
-    }
-
-    fn merge(&self, workload: &Workload, outs: Vec<SimOutput>) -> CampaignOutput {
-        merge_shard_outputs(workload, outs)
-    }
-
-    /// Run the simulation (no cache), executing shards in parallel.
-    ///
-    /// Bit-identical to [`CampaignSpec::simulate_serial`]: each shard has
-    /// its own seed-derived RNG stream regardless of scheduling, and shard
-    /// outputs are merged in run-index order.
-    pub fn simulate(&self) -> CampaignOutput {
-        let _span = wdt_obs::span("campaign.simulate");
-        let workload = self.workload();
-        let shards = self.shards(&workload);
-        let outs: Vec<SimOutput> = shards
-            .par_iter()
-            .enumerate()
-            .map(|(run, requests)| self.run_shard(&workload.endpoints, run, requests))
-            .collect();
-        self.merge(&workload, outs)
-    }
-
-    /// Run the simulation (no cache) with shards executed sequentially.
-    pub fn simulate_serial(&self) -> CampaignOutput {
-        let _span = wdt_obs::span("campaign.simulate_serial");
-        let workload = self.workload();
-        let shards = self.shards(&workload);
-        let outs: Vec<SimOutput> = shards
-            .iter()
-            .enumerate()
-            .map(|(run, requests)| self.run_shard(&workload.endpoints, run, requests))
-            .collect();
-        self.merge(&workload, outs)
-    }
-
-    /// Stream the campaign through `sink` without materializing the log.
-    ///
-    /// Shards run serially (one simulator alive at a time) and each drains
-    /// its records into the sink as transfers complete, so peak memory is
-    /// bounded by a single shard's *active* state rather than the full
-    /// month-scale log. Records arrive in per-shard completion order; the
-    /// record *set* is bit-identical to [`CampaignSpec::simulate_serial`].
-    /// Returns the merged engine stats and the total record count.
-    pub fn stream_into(&self, sink: &mut dyn FnMut(TransferRecord)) -> StreamSummary {
-        let _span = wdt_obs::span("campaign.stream_into");
-        let workload = self.workload();
-        let shards = self.shards(&workload);
-        let mut stats = SimStats::default();
-        let mut records = 0usize;
-        for (run, requests) in shards.iter().enumerate() {
-            let _span = wdt_obs::span("campaign.shard");
-            let root = SeedSeq::new(self.seed);
-            let shard_seed = SeedSeq::new(root.derive_indexed("campaign-run", run as u64));
-            let mut sim =
-                Simulator::new(workload.endpoints.clone(), SimConfig::default(), &shard_seed);
-            sim.add_default_background(self.bg_per_endpoint, self.bg_intensity);
-            for req in requests {
-                sim.submit(req.clone());
-            }
-            let mut counted = |r: TransferRecord| {
-                records += 1;
-                sink(r);
-            };
-            let out = sim.run_streaming(&mut counted);
-            stats.merge(&out.stats);
-        }
-        StreamSummary {
-            records,
-            heavy_edges: workload.heavy_edges.iter().map(|e| (e.src.0, e.dst.0)).collect(),
-            stats,
-        }
-    }
-
-    /// Run the simulation, or load it from the on-disk cache.
-    ///
-    /// Set `WDT_CAMPAIGN_SERIAL=1` to force the serial runner (useful for
-    /// benchmarking the parallel speedup).
-    pub fn simulate_cached(&self) -> CampaignOutput {
-        let path = self.cache_path();
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            if let Some(out) = CampaignOutput::from_cache_text(&text) {
-                eprintln!("[campaign] loaded cached log from {}", path.display());
-                return out;
-            }
-        }
-        let serial = std::env::var("WDT_CAMPAIGN_SERIAL").is_ok_and(|v| v == "1");
-        eprintln!(
-            "[campaign] simulating {} days of traffic ({} {} shard(s), {} thread(s)) ...",
-            self.days,
-            self.runs.max(1),
-            if serial { "serial" } else { "parallel" },
-            if serial { 1 } else { rayon::current_num_threads() },
-        );
-        let t0 = std::time::Instant::now();
-        let out = if serial { self.simulate_serial() } else { self.simulate() };
-        eprintln!(
-            "[campaign] simulated {} transfers in {:.1}s ({})",
-            out.records.len(),
-            t0.elapsed().as_secs_f64(),
-            out.stats.summary(),
-        );
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        let _ = std::fs::write(&path, out.to_cache_text());
-        out
-    }
-}
+use wdt_sim::{SimOutput, SimStats};
+use wdt_types::{records_from_csv, records_to_csv, TransferRecord, TransferRequest};
+use wdt_workload::Workload;
 
 /// Partition `requests` into `runs` contiguous submit-time windows over a
 /// `days`-long horizon. Every request lands in exactly one shard, so the
-/// merged log covers the same request set as a monolithic run. Shared by
-/// [`CampaignSpec`] and [`crate::ScenarioCampaign`].
+/// merged log covers the same request set as a monolithic run.
 pub(crate) fn shard_by_window(
     days: f64,
     runs: usize,
@@ -246,6 +32,11 @@ pub(crate) fn shard_by_window(
     shards
 }
 
+/// The workload's heavy edges as (src, dst) endpoint indices.
+pub(crate) fn heavy_edge_pairs(workload: &Workload) -> Vec<(u32, u32)> {
+    workload.heavy_edges.iter().map(|e| (e.src.0, e.dst.0)).collect()
+}
+
 /// Merge shard outputs in run-index order and re-establish the global
 /// (start, id) log order the monolithic simulator produces.
 pub(crate) fn merge_shard_outputs(workload: &Workload, outs: Vec<SimOutput>) -> CampaignOutput {
@@ -256,26 +47,10 @@ pub(crate) fn merge_shard_outputs(workload: &Workload, outs: Vec<SimOutput>) -> 
         stats.merge(&out.stats);
     }
     records.sort_by(|a, b| a.start.cmp(&b.start).then(a.id.cmp(&b.id)));
-    CampaignOutput {
-        records,
-        heavy_edges: workload.heavy_edges.iter().map(|e| (e.src.0, e.dst.0)).collect(),
-        stats,
-    }
+    CampaignOutput { records, heavy_edges: heavy_edge_pairs(workload), stats }
 }
 
-/// What [`CampaignSpec::stream_into`] returns: everything
-/// [`CampaignOutput`] carries except the log itself.
-#[derive(Debug, Clone)]
-pub struct StreamSummary {
-    /// Records handed to the sink.
-    pub records: usize,
-    /// The generated heavy edges, as (src, dst) endpoint indices.
-    pub heavy_edges: Vec<(u32, u32)>,
-    /// Engine counters merged across shards.
-    pub stats: SimStats,
-}
-
-/// The cached campaign result.
+/// A simulated campaign's result.
 #[derive(Debug, Clone)]
 pub struct CampaignOutput {
     /// The full transfer log.
@@ -290,14 +65,14 @@ pub struct CampaignOutput {
 impl CampaignOutput {
     /// Cache serialization: a `# heavy_edges:` comment line with the
     /// generated heavy edges, then the standard transfer-log CSV.
-    fn to_cache_text(&self) -> String {
+    pub(crate) fn to_cache_text(&self) -> String {
         let edges: Vec<String> = self.heavy_edges.iter().map(|(s, d)| format!("{s}-{d}")).collect();
         format!("# heavy_edges: {}\n{}", edges.join(","), records_to_csv(&self.records))
     }
 
     /// Inverse of [`CampaignOutput::to_cache_text`]; `None` on any
     /// malformed input (the cache is then regenerated).
-    fn from_cache_text(text: &str) -> Option<CampaignOutput> {
+    pub(crate) fn from_cache_text(text: &str) -> Option<CampaignOutput> {
         let (header, csv) = text.split_once('\n')?;
         let edges = header.strip_prefix("# heavy_edges: ")?;
         let heavy_edges: Vec<(u32, u32)> = if edges.is_empty() {
@@ -316,60 +91,25 @@ impl CampaignOutput {
     }
 }
 
-/// Convenience: the default campaign's log, cached.
-pub fn standard_log() -> CampaignOutput {
-    CampaignSpec::default().simulate_cached()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn small_campaign_runs_end_to_end() {
-        let spec =
-            CampaignSpec { days: 2.0, heavy_edges: 3, sparse_edges: 10, ..Default::default() };
-        let out = spec.simulate();
-        assert!(out.records.len() > 50, "only {} records", out.records.len());
-        assert_eq!(out.heavy_edges.len(), 3);
-        // All transfers completed with positive duration.
-        assert!(out.records.iter().all(|r| r.end > r.start));
-        // The merged log is in global (start, id) order and the counters
-        // reflect real engine work.
-        assert!(out.records.windows(2).all(|w| (w[0].start, w[0].id) <= (w[1].start, w[1].id)));
-        assert!(out.stats.events > 0 && out.stats.reallocations > 0);
-    }
-
-    #[test]
-    fn parallel_campaign_is_bit_identical_to_serial() {
-        let spec =
-            CampaignSpec { days: 2.0, heavy_edges: 4, sparse_edges: 12, ..Default::default() };
-        let par = spec.simulate();
-        let ser = spec.simulate_serial();
-        assert_eq!(par.records.len(), ser.records.len());
-        assert_eq!(par.records, ser.records);
-        assert_eq!(par.heavy_edges, ser.heavy_edges);
-        // realloc_time_s and phase_nanos are wall-clock measurements, not
-        // simulation state; the deterministic counters must match exactly.
-        assert_eq!(par.stats.events, ser.stats.events);
-        assert_eq!(par.stats.reallocations, ser.stats.reallocations);
-        assert_eq!(par.stats.max_queue_depth, ser.stats.max_queue_depth);
-        assert_eq!(par.stats.scratch_reuses, ser.stats.scratch_reuses);
-        assert_eq!(par.stats.oracle_invocations, ser.stats.oracle_invocations);
-        assert_eq!(par.stats.waiting_drains, ser.stats.waiting_drains);
-        assert_eq!(par.stats.invariant_checks, ser.stats.invariant_checks);
-    }
+    use wdt_types::ScenarioSpec;
 
     #[test]
     fn shards_cover_every_request_exactly_once() {
-        let spec =
-            CampaignSpec { days: 2.0, heavy_edges: 3, sparse_edges: 10, ..Default::default() };
-        let workload = spec.workload();
-        let shards = spec.shards(&workload);
-        assert_eq!(shards.len(), spec.runs);
+        let spec = ScenarioSpec::from_text(
+            r#"{"name": "shards", "days": 2.0,
+                "traffic": {"heavy_edges": 3, "sparse_edges": 10}}"#,
+        )
+        .expect("parse");
+        let (days, runs) = (spec.days, spec.traffic.runs);
+        let workload = crate::ScenarioCampaign::new(spec).expect("valid").workload();
+        let shards = shard_by_window(days, runs, &workload.requests);
+        assert_eq!(shards.len(), runs);
         let total: usize = shards.iter().map(|s| s.len()).sum();
         assert_eq!(total, workload.requests.len());
-        let window = spec.days * 86_400.0 / spec.runs as f64;
+        let window = days * 86_400.0 / runs as f64;
         for (i, shard) in shards.iter().enumerate() {
             for req in shard {
                 let t = req.submit.as_secs();
@@ -377,47 +117,5 @@ mod tests {
                 assert!(i == shards.len() - 1 || t < (i + 1) as f64 * window);
             }
         }
-    }
-
-    #[test]
-    fn shard_count_changes_results_but_single_shard_matches_monolith() {
-        // One shard is exactly the old monolithic campaign shape: the
-        // whole request set in one simulator. More shards give a
-        // different (but internally deterministic) realization.
-        let one = CampaignSpec {
-            days: 2.0,
-            heavy_edges: 3,
-            sparse_edges: 10,
-            runs: 1,
-            ..Default::default()
-        };
-        let a = one.simulate();
-        let b = one.simulate();
-        assert_eq!(a.records, b.records);
-        assert_eq!(a.records.len(), b.records.len());
-    }
-
-    #[test]
-    fn streamed_campaign_matches_batch_record_set() {
-        let spec =
-            CampaignSpec { days: 2.0, heavy_edges: 3, sparse_edges: 10, ..Default::default() };
-        let batch = spec.simulate_serial();
-        let mut streamed = Vec::new();
-        let summary = spec.stream_into(&mut |r| streamed.push(r));
-        assert_eq!(summary.records, streamed.len());
-        assert_eq!(summary.records, batch.records.len());
-        assert_eq!(summary.heavy_edges, batch.heavy_edges);
-        streamed.sort_by(|a, b| a.start.cmp(&b.start).then(a.id.cmp(&b.id)));
-        assert_eq!(streamed, batch.records);
-        assert_eq!(summary.stats.events, batch.stats.events);
-    }
-
-    #[test]
-    fn cache_key_distinguishes_specs() {
-        let a = CampaignSpec::default();
-        let b = CampaignSpec { days: 31.0, ..Default::default() };
-        let c = CampaignSpec { runs: 8, ..Default::default() };
-        assert_ne!(a.cache_key(), b.cache_key());
-        assert_ne!(a.cache_key(), c.cache_key());
     }
 }

@@ -13,6 +13,6 @@ pub mod campaign;
 pub mod scenario_campaign;
 pub mod table;
 
-pub use campaign::{standard_log, CampaignOutput, CampaignSpec, StreamSummary};
-pub use scenario_campaign::ScenarioCampaign;
+pub use campaign::CampaignOutput;
+pub use scenario_campaign::{standard_campaign, standard_log, ScenarioCampaign, StreamSummary};
 pub use table::TableWriter;

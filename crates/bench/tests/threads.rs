@@ -6,7 +6,7 @@
 //! Kept to a single `#[test]` on purpose: the thread-count env var is
 //! process-global, and concurrent tests mutating it would race.
 
-use wdt_bench::{CampaignSpec, ScenarioCampaign};
+use wdt_bench::ScenarioCampaign;
 use wdt_types::ScenarioSpec;
 
 fn scenario(text: &str) -> ScenarioCampaign {
@@ -15,17 +15,15 @@ fn scenario(text: &str) -> ScenarioCampaign {
 
 #[test]
 fn campaign_output_is_bit_identical_across_thread_counts() {
-    let spec = CampaignSpec {
-        days: 2.0,
-        heavy_edges: 4,
-        sparse_edges: 14,
-        runs: 8, // more shards than the smallest pool, so chunking differs
-        ..Default::default()
-    };
-    // Scenario-driven campaigns exercise the modulation and arrival-mix
-    // paths the plain campaign never touches: a flash crowd piles arrivals
-    // into two burst windows, and a degradation window inserts ModChange
-    // boundary events into every shard's queue.
+    // More shards than the smallest pool, so chunking differs.
+    let spec = scenario(
+        r#"{"name": "t-plain", "days": 2.0,
+            "traffic": {"heavy_edges": 4, "sparse_edges": 14, "runs": 8}}"#,
+    );
+    // Two more campaigns exercise the modulation and arrival-mix paths the
+    // plain one never touches: a flash crowd piles arrivals into two burst
+    // windows, and a degradation window inserts ModChange boundary events
+    // into every shard's queue.
     let flash = scenario(
         r#"{"name": "t-flash", "days": 2.0,
             "traffic": {"heavy_edges": 4, "sparse_edges": 14, "runs": 8},

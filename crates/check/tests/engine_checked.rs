@@ -6,10 +6,10 @@
 //! census/capacity freshness, byte conservation, time monotonicity — are
 //! live for every run below. A violation panics, failing the test.
 
-use wdt_bench::campaign::CampaignSpec;
+use wdt_bench::ScenarioCampaign;
 use wdt_check::{check_records, TraceDigest};
 use wdt_sim::{esnet_testbed, SimConfig, Simulator};
-use wdt_types::{Bytes, EndpointId, SeedSeq, SimTime, TransferId, TransferRequest};
+use wdt_types::{Bytes, EndpointId, ScenarioSpec, SeedSeq, SimTime, TransferId, TransferRequest};
 
 /// Enable runtime checking for this process. Must run before the first
 /// simulator does (the gates are read once and cached); every test calls
@@ -77,7 +77,14 @@ fn small_campaign_serial_and_parallel_digests_match_under_checks() {
     // The PR 1 guarantee, restated as a digest equality and run with the
     // invariant checker live in every shard (parallel shards inherit the
     // process-wide gate).
-    let spec = CampaignSpec { days: 1.5, heavy_edges: 4, sparse_edges: 12, ..Default::default() };
+    let spec = ScenarioCampaign::new(
+        ScenarioSpec::from_text(
+            r#"{"name": "checked", "days": 1.5,
+                "traffic": {"heavy_edges": 4, "sparse_edges": 12}}"#,
+        )
+        .expect("parse"),
+    )
+    .expect("validate");
     let par = spec.simulate();
     let ser = spec.simulate_serial();
     assert!(par.stats.invariant_checks > 0, "checks never ran inside shards");

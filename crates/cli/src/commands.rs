@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use wdt_bench::CampaignSpec;
+use wdt_bench::ScenarioCampaign;
 use wdt_check::DigestBuilder;
 use wdt_features::{
     edge_census, edge_stats, eligible_edges, extract_features, threshold_filter, TransferFeatures,
@@ -30,7 +30,10 @@ use wdt_serve::{
     run_loadgen, BatchConfig, EventLoopServer, HttpClient, LoadgenConfig, LoadgenMode,
     ModelRegistry, ServeConfig, ServeSchema,
 };
-use wdt_types::{records_to_csv, EdgeId, EndpointId, TransferRecord};
+use wdt_types::{
+    records_to_csv, ArrivalSpec, BackgroundSpec, EdgeId, EndpointId, ScenarioSpec, TopologySpec,
+    TrafficSpec, TransferRecord,
+};
 
 type CmdResult = Result<(), Box<dyn Error>>;
 
@@ -243,6 +246,40 @@ fn write_trace(path: &str) -> CmdResult {
     Ok(())
 }
 
+/// The shared campaign flags — `--seed --days --heavy-edges
+/// --sparse-edges --bg-intensity --runs` — as a campaign over the default
+/// fleet, arrivals and background processes. `days`, `heavy_edges`,
+/// `sparse_edges` and `runs` are the calling command's defaults; `--seed`
+/// (2017) and `--bg-intensity` (0.4) default alike everywhere. The spec is
+/// built directly, not parsed, so every `--seed` a `u64` holds is accepted.
+fn flag_campaign(
+    args: &Args,
+    days: f64,
+    heavy_edges: usize,
+    sparse_edges: usize,
+    runs: usize,
+) -> Result<ScenarioCampaign, Box<dyn Error>> {
+    Ok(ScenarioCampaign::new(ScenarioSpec {
+        name: "campaign".into(),
+        description: String::new(),
+        seed: args.get_or("seed", 2017)?,
+        days: args.get_or("days", days)?,
+        topology: TopologySpec::default(),
+        traffic: TrafficSpec {
+            heavy_edges: args.get_or("heavy-edges", heavy_edges)?,
+            sparse_edges: args.get_or("sparse-edges", sparse_edges)?,
+            runs: args.get_or("runs", runs)?,
+            ..TrafficSpec::default()
+        },
+        arrivals: ArrivalSpec::default(),
+        background: BackgroundSpec {
+            intensity: args.get_or("bg-intensity", 0.4)?,
+            ..BackgroundSpec::default()
+        },
+        capacity: Vec::new(),
+    })?)
+}
+
 fn simulate(args: &Args) -> CmdResult {
     args.ensure_known(&[
         "out",
@@ -256,17 +293,10 @@ fn simulate(args: &Args) -> CmdResult {
     ])?;
     let out = args.require("out")?.to_string();
     let trace = trace_setup(args);
-    let spec = CampaignSpec {
-        seed: args.get_or("seed", 2017)?,
-        days: args.get_or("days", 30.0)?,
-        heavy_edges: args.get_or("heavy-edges", 45)?,
-        sparse_edges: args.get_or("sparse-edges", 400)?,
-        bg_intensity: args.get_or("bg-intensity", 0.4)?,
-        runs: args.get_or("runs", 4)?,
-        ..Default::default()
-    };
-    eprintln!("simulating {} days of traffic in {} shard(s) ...", spec.days, spec.runs.max(1));
-    let result = spec.simulate();
+    let campaign = flag_campaign(args, 30.0, 45, 400, 4)?;
+    let (days, runs) = (campaign.spec().days, campaign.spec().traffic.runs.max(1));
+    eprintln!("simulating {days} days of traffic in {runs} shard(s) ...");
+    let result = campaign.simulate();
     fs::write(&out, records_to_csv(&result.records))?;
     println!("wrote {} records to {out}", result.records.len());
     println!("{}", result.stats.summary());
@@ -439,22 +469,20 @@ fn explain(args: &Args) -> CmdResult {
     ])?;
     let records: Vec<TransferRecord> = if args.get("log").is_some() {
         load_log(args)?
-    } else if let Some(path) = args.get("scenario") {
-        let c = wdt_bench::ScenarioCampaign::from_file(Path::new(path))?;
-        eprintln!("simulating scenario '{}' ...", c.spec().name);
-        c.simulate().records
     } else {
-        let spec = CampaignSpec {
-            seed: args.get_or("seed", 2017)?,
-            days: args.get_or("days", 3.0)?,
-            heavy_edges: args.get_or("heavy-edges", 6)?,
-            sparse_edges: args.get_or("sparse-edges", 30)?,
-            bg_intensity: args.get_or("bg-intensity", 0.4)?,
-            runs: args.get_or("runs", 4)?,
-            ..Default::default()
+        let campaign = match args.get("scenario") {
+            Some(path) => {
+                let c = ScenarioCampaign::from_file(Path::new(path))?;
+                eprintln!("simulating scenario '{}' ...", c.spec().name);
+                c
+            }
+            None => {
+                let c = flag_campaign(args, 3.0, 6, 30, 4)?;
+                eprintln!("simulating a {}-day campaign for triage ...", c.spec().days);
+                c
+            }
         };
-        eprintln!("simulating a {}-day campaign for triage ...", spec.days);
-        spec.simulate().records
+        campaign.simulate().records
     };
 
     let features = extract_features(&records);
@@ -690,30 +718,22 @@ fn check(args: &Args) -> CmdResult {
     // 2. The check campaign, parallel and serial, with every reallocation
     //    invariant-checked (a violation panics). With --scenario the
     //    campaign under test is the scenario file's instead.
-    let scenario = match args.get("scenario") {
-        Some(path) => Some(wdt_bench::ScenarioCampaign::from_file(Path::new(path))?),
-        None => None,
+    let scenario = args.get("scenario");
+    let campaign = match scenario {
+        Some(path) => ScenarioCampaign::from_file(Path::new(path))?,
+        None => flag_campaign(args, 2.0, 6, 30, 4)?,
     };
-    let spec = CampaignSpec {
-        seed: args.get_or("seed", 2017)?,
-        days: args.get_or("days", 2.0)?,
-        heavy_edges: args.get_or("heavy-edges", 6)?,
-        sparse_edges: args.get_or("sparse-edges", 30)?,
-        runs: args.get_or("runs", 4)?,
-        ..Default::default()
-    };
-    let (days, label) = match &scenario {
-        Some(s) => (s.spec().days, format!("scenario '{}'", s.spec().name)),
-        None => (spec.days, "check campaign".into()),
+    let spec = campaign.spec();
+    let label = match scenario {
+        Some(_) => format!("scenario '{}'", spec.name),
+        None => "check campaign".into(),
     };
     eprintln!(
-        "campaign: simulating {days} days of the {label} twice (parallel + serial) \
-         with invariant checks on ..."
+        "campaign: simulating {} days of the {label} twice (parallel + serial) \
+         with invariant checks on ...",
+        spec.days
     );
-    let (par, ser) = match &scenario {
-        Some(s) => (s.simulate(), s.simulate_serial()),
-        None => (spec.simulate(), spec.simulate_serial()),
-    };
+    let (par, ser) = (campaign.simulate(), campaign.simulate_serial());
     println!("campaign: {} records | {}", par.records.len(), par.stats.summary());
     if par.stats.invariant_checks == 0 {
         return Err("invariant checks never ran — WDT_CHECK gate broken".into());
@@ -736,18 +756,20 @@ fn check(args: &Args) -> CmdResult {
 
     // 3. Golden-trace digest.
     let digest = wdt_check::TraceDigest::from_records(&par.records);
-    let header = match &scenario {
-        Some(s) => format!(
+    let header = match scenario {
+        Some(_) => format!(
             "scenario: {} (seed={} days={})\n\
              refresh with: wdt check --scenario <file> --golden <this file> --refresh",
-            s.spec().name,
-            s.spec().seed,
-            s.spec().days
+            spec.name, spec.seed, spec.days
         ),
         None => format!(
             "spec: seed={} days={} heavy-edges={} sparse-edges={} runs={}\n\
              refresh with: wdt check --golden <this file> --refresh",
-            spec.seed, spec.days, spec.heavy_edges, spec.sparse_edges, spec.runs
+            spec.seed,
+            spec.days,
+            spec.traffic.heavy_edges,
+            spec.traffic.sparse_edges,
+            spec.traffic.runs
         ),
     };
     if args.flag("refresh") {
@@ -816,7 +838,7 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 }
 
 /// Simulate, digest, and model one scenario.
-fn run_scenario(c: &wdt_bench::ScenarioCampaign, threshold: f64) -> ScenarioReport {
+fn run_scenario(c: &ScenarioCampaign, threshold: f64) -> ScenarioReport {
     let out = c.simulate();
     let digest = wdt_check::TraceDigest::from_records(&out.records);
 
@@ -926,10 +948,8 @@ fn scenarios(args: &Args) -> CmdResult {
     if files.is_empty() {
         return Err(format!("{dir}: no *.json scenario files").into());
     }
-    let campaigns: Vec<wdt_bench::ScenarioCampaign> = files
-        .iter()
-        .map(|p| wdt_bench::ScenarioCampaign::from_file(p))
-        .collect::<Result<_, _>>()?;
+    let campaigns: Vec<ScenarioCampaign> =
+        files.iter().map(|p| ScenarioCampaign::from_file(p)).collect::<Result<_, _>>()?;
 
     eprintln!("sweeping {} scenario(s) from {dir} in parallel ...", campaigns.len());
     let t0 = std::time::Instant::now();
@@ -1046,16 +1066,10 @@ fn obs(args: &Args) -> CmdResult {
     // to show what the instrumentation can see, so per-event spans are on.
     wdt_obs::set_detail(true);
     wdt_obs::install_panic_hook();
-    let spec = CampaignSpec {
-        seed: args.get_or("seed", 2017)?,
-        days: args.get_or("days", 1.0)?,
-        heavy_edges: args.get_or("heavy-edges", 4)?,
-        sparse_edges: args.get_or("sparse-edges", 12)?,
-        runs: args.get_or("runs", 2)?,
-        ..Default::default()
-    };
-    eprintln!("obs: tracing a {}-day, {}-shard campaign ...", spec.days, spec.runs.max(1));
-    let result = spec.simulate();
+    let campaign = flag_campaign(args, 1.0, 4, 12, 2)?;
+    let (days, runs) = (campaign.spec().days, campaign.spec().traffic.runs.max(1));
+    eprintln!("obs: tracing a {days}-day, {runs}-shard campaign ...");
+    let result = campaign.simulate();
     result.stats.publish(wdt_obs::Registry::global());
     println!("{}", result.stats.summary());
     // Post-mortem first: `write_trace` clears the flight recorder.
@@ -1333,15 +1347,7 @@ fn ingest(args: &Args) -> CmdResult {
         drop(sender);
         offered = stats.records + stats.shed;
     } else {
-        let spec = CampaignSpec {
-            seed: args.get_or("seed", 2017)?,
-            days: args.get_or("days", 10.0)?,
-            heavy_edges: args.get_or("heavy-edges", 6)?,
-            sparse_edges: args.get_or("sparse-edges", 30)?,
-            bg_intensity: args.get_or("bg-intensity", 0.4)?,
-            runs: args.get_or("runs", 4)?,
-            ..Default::default()
-        };
+        let spec = flag_campaign(args, 10.0, 6, 30, 4)?.spec().clone();
         let count = std::cell::Cell::new(0u64);
         let mut sink = |r: wdt_types::TransferRecord| {
             if let Some(b) = builder.as_mut() {
@@ -1362,11 +1368,11 @@ fn ingest(args: &Args) -> CmdResult {
             "streaming {repeat} × {}-day campaign(s) ({} shard(s) each, serial for \
              bounded memory) ...",
             spec.days,
-            spec.runs.max(1)
+            spec.traffic.runs.max(1)
         );
         for rep in 0..repeat {
-            let s = CampaignSpec { seed: spec.seed + rep as u64, ..spec.clone() };
-            s.stream_into(&mut sink);
+            let seed = spec.seed + rep as u64;
+            ScenarioCampaign::new(ScenarioSpec { seed, ..spec.clone() })?.stream_into(&mut sink);
             if repeat > 1 {
                 eprintln!("  campaign {}/{repeat} done ({} records so far)", rep + 1, count.get());
             }
@@ -1376,17 +1382,20 @@ fn ingest(args: &Args) -> CmdResult {
         // shift is invisible to the input features — a hidden-variable
         // drift only retraining can absorb.
         if let Some(bg) = args.get("drift-bg") {
-            let drift_spec = CampaignSpec {
+            let drift = ScenarioSpec {
                 seed: spec.seed ^ 0xD21F,
                 days: args.get_or("drift-days", spec.days)?,
-                bg_intensity: bg.parse().map_err(|_| format!("bad --drift-bg '{bg}'"))?,
+                background: BackgroundSpec {
+                    intensity: bg.parse().map_err(|_| format!("bad --drift-bg '{bg}'"))?,
+                    ..spec.background.clone()
+                },
                 ..spec.clone()
             };
             eprintln!(
                 "drift phase: {} more days at background intensity {} ...",
-                drift_spec.days, drift_spec.bg_intensity
+                drift.days, drift.background.intensity
             );
-            drift_spec.stream_into(&mut sink);
+            ScenarioCampaign::new(drift)?.stream_into(&mut sink);
         }
         golden_header = format!(
             "spec: seed={} days={} heavy-edges={} sparse-edges={} runs={} repeat={repeat} \
@@ -1394,9 +1403,9 @@ fn ingest(args: &Args) -> CmdResult {
              refresh with: wdt ingest <same flags> --golden <this file> --refresh",
             spec.seed,
             spec.days,
-            spec.heavy_edges,
-            spec.sparse_edges,
-            spec.runs,
+            spec.traffic.heavy_edges,
+            spec.traffic.sparse_edges,
+            spec.traffic.runs,
             args.get("drift-bg").unwrap_or("-")
         );
         offered = count.get();
@@ -1807,32 +1816,6 @@ mod tests {
         let err =
             run(&parse(&format!("scenarios --dir {}", dir.display()))).unwrap_err().to_string();
         assert!(err.contains("broken.json") && err.contains("sitez"), "{err}");
-    }
-
-    #[test]
-    fn check_scenario_verifies_a_scenario_digest() {
-        let dir = tmp("check-scenario");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let sfile = dir.join("s.json");
-        std::fs::write(
-            &sfile,
-            r#"{"name": "check-s", "days": 1.0,
-                "traffic": {"heavy_edges": 3, "sparse_edges": 8, "runs": 2},
-                "capacity": [{"kind": "egress_limit", "endpoints": [2],
-                              "start_day": 0.0, "end_day": 1.0, "factor": 0.4}]}"#,
-        )
-        .unwrap();
-        let golden = dir.join("s.digest");
-        let base = format!(
-            "check --scenario {} --golden {} --oracle-cases 5",
-            sfile.display(),
-            golden.display()
-        );
-        run(&parse(&format!("{base} --refresh"))).expect("refresh");
-        run(&parse(&base)).expect("verify");
-        let text = std::fs::read_to_string(&golden).unwrap();
-        assert!(text.contains("scenario: check-s"), "header names the scenario: {text}");
     }
 
     #[test]

@@ -83,6 +83,41 @@ fn check_refreshes_then_verifies_and_detects_drift() {
 }
 
 #[test]
+fn check_scenario_verifies_a_scenario_digest() {
+    let dir = tmp("check-scenario");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let sfile = dir.join("s.json");
+    std::fs::write(
+        &sfile,
+        r#"{"name": "check-s", "days": 1.0,
+            "traffic": {"heavy_edges": 3, "sparse_edges": 8, "runs": 2},
+            "capacity": [{"kind": "egress_limit", "endpoints": [2],
+                          "start_day": 0.0, "end_day": 1.0, "factor": 0.4}]}"#,
+    )
+    .unwrap();
+    let golden = dir.join("s.digest");
+    let check = |refresh: bool| {
+        let mut cmd = wdt();
+        cmd.arg("check").args(["--scenario", sfile.to_str().unwrap()]).args([
+            "--golden",
+            golden.to_str().unwrap(),
+            "--oracle-cases",
+            "5",
+        ]);
+        if refresh {
+            cmd.arg("--refresh");
+        }
+        let out = cmd.output().unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    };
+    check(true);
+    check(false);
+    let text = std::fs::read_to_string(&golden).unwrap();
+    assert!(text.contains("scenario: check-s"), "header names the scenario: {text}");
+}
+
+#[test]
 fn check_rejects_unknown_flags() {
     let out = wdt().arg("check").args(["--golden", "x", "--oracel-cases", "9"]).output().unwrap();
     assert!(!out.status.success());

@@ -17,7 +17,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use wdt_bench::CampaignSpec;
+use wdt_bench::ScenarioCampaign;
 use wdt_check::{DigestBuilder, TraceDigest};
 use wdt_ingest::{
     IngestConfig, IngestPipeline, RetrainConfig, RetrainDriver, SegmentStore, SwapEvent,
@@ -33,15 +33,12 @@ fn tmpdir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-fn spec() -> CampaignSpec {
-    CampaignSpec {
-        seed: 401,
-        days: 4.0,
-        heavy_edges: 4,
-        sparse_edges: 12,
-        runs: 2,
-        ..Default::default()
-    }
+fn campaign(seed: u64) -> ScenarioCampaign {
+    let spec = wdt_types::ScenarioSpec::from_text(&format!(
+        r#"{{"name": "ingest-e2e", "seed": {seed}, "days": 4.0,
+            "traffic": {{"heavy_edges": 4, "sparse_edges": 12, "runs": 2}}}}"#
+    ));
+    ScenarioCampaign::new(spec.expect("parse")).expect("validate")
 }
 
 /// Compress a record's duration 30×: rates shift massively while every
@@ -60,7 +57,7 @@ fn streamed_campaign_retrains_and_hot_swaps_a_live_server() {
 
     // Seed the registry so the server can come up before the first refit;
     // the driver's own artifacts start at v000001 and sort after it.
-    let seed_records = spec().simulate_serial().records;
+    let seed_records = campaign(401).simulate_serial().records;
     let data = wdt_model::build_dataset(&wdt_features::extract_features(&seed_records), false);
     let seeded = wdt_model::FittedModel::fit(&data, ModelKind::Linear, &Default::default())
         .expect("seed fit");
@@ -105,7 +102,7 @@ fn streamed_campaign_retrains_and_hot_swaps_a_live_server() {
     // Phase 1: the campaign as simulated, with an incremental digest.
     let mut builder = DigestBuilder::new();
     let mut streamed = 0u64;
-    let summary = spec().stream_into(&mut |r| {
+    let summary = campaign(401).stream_into(&mut |r| {
         builder.push(&r);
         streamed += 1;
         assert!(handle.offer(r), "Block backpressure never sheds");
@@ -114,7 +111,7 @@ fn streamed_campaign_retrains_and_hot_swaps_a_live_server() {
 
     // Phase 2: the same traffic accelerated 30× — hidden-variable drift.
     let mut phase2 = 0u64;
-    CampaignSpec { seed: 402, ..spec() }.stream_into(&mut |r| {
+    campaign(402).stream_into(&mut |r| {
         phase2 += 1;
         assert!(handle.offer(accelerate(r)));
     });

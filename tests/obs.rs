@@ -27,14 +27,17 @@
 //!    campaign explains every row such that `bias + Σ contributions`
 //!    reconstructs `predict_row` bitwise.
 
-use wdt_bench::{CampaignSpec, ScenarioCampaign};
+use wdt_bench::ScenarioCampaign;
 use wdt_check::TraceDigest;
 use wdt_features::extract_features;
 use wdt_model::{build_dataset, FitConfig, FittedModel, ModelKind};
 
-/// Must mirror the `wdt check` defaults in `crates/cli/src/commands.rs`.
-fn check_spec() -> CampaignSpec {
-    CampaignSpec { seed: 2017, days: 2.0, heavy_edges: 6, sparse_edges: 30, ..Default::default() }
+/// Must mirror the `wdt check` defaults in `crates/cli/src/commands.rs`:
+/// seed 2017, 6 heavy and 30 sparse edges, 4 shards (the scenario
+/// defaults), 2 days.
+fn check_campaign() -> ScenarioCampaign {
+    let spec = wdt_types::ScenarioSpec::from_text(r#"{"name": "check", "days": 2.0}"#);
+    ScenarioCampaign::new(spec.expect("parse")).expect("validate")
 }
 
 #[test]
@@ -50,7 +53,7 @@ fn instrumentation_is_bit_transparent_and_traces_validate() {
 
     // Part 1: disabled instrumentation — zero drift from the seed digest.
     assert!(!wdt_obs::enabled(), "tracing must default to off");
-    let off = check_spec().simulate();
+    let off = check_campaign().simulate();
     let digest = TraceDigest::from_records(&off.records);
     assert_eq!(
         committed.hash(),
@@ -64,7 +67,7 @@ fn instrumentation_is_bit_transparent_and_traces_validate() {
     // so this is the strongest form of the transparency claim.
     wdt_obs::clear();
     wdt_obs::set_detail(true);
-    let on = check_spec().simulate();
+    let on = check_campaign().simulate();
     wdt_obs::set_enabled(false);
     assert_eq!(off.records, on.records, "tracing changed the transfer log");
     assert_eq!(off.stats.events, on.stats.events);
