@@ -1,10 +1,10 @@
 //! Criterion micro-benchmarks of the workspace's hot paths: max–min
-//! allocation, feature extraction, GBDT training/prediction, MIC, and the
-//! simulator event loop.
+//! allocation, feature extraction, GBDT training, MIC, and the simulator
+//! event loop.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use wdt_features::extract_features;
-use wdt_ml::{mic, Gbdt, GbdtParams, NodeArrayForest, SplitStrategy};
+use wdt_ml::{mic, Gbdt, GbdtParams, SplitStrategy};
 use wdt_sim::{allocate, FlowDemand, SimConfig, Simulator};
 use wdt_types::{Bytes, EndpointId, SeedSeq, SimTime, TransferId, TransferRecord, TransferRequest};
 use wdt_workload::{ArrivalMix, FleetSpec, WorkloadSpec};
@@ -97,37 +97,6 @@ fn bench_gbdt_fit(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_gbdt_predict(c: &mut Criterion) {
-    let mut g = c.benchmark_group("gbdt_predict");
-    g.sample_size(10);
-    let (x, y) = synth_matrix(50_000, 15);
-    let params = GbdtParams { n_rounds: 20, ..Default::default() };
-    let model = Gbdt::fit(&x, &y, &params);
-    for &n in &[5_000usize, 50_000] {
-        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| model.predict(&x[..n]))
-        });
-    }
-    g.finish();
-}
-
-/// Flattened SoA node-array traversal vs. the pointer-chasing arena —
-/// same fitted trees, bitwise-identical outputs, different memory layout.
-fn bench_gbdt_predict_nodearray(c: &mut Criterion) {
-    let mut g = c.benchmark_group("gbdt_predict_nodearray");
-    g.sample_size(10);
-    let (x, y) = synth_matrix(50_000, 15);
-    let params = GbdtParams { n_rounds: 20, ..Default::default() };
-    let model = Gbdt::fit(&x, &y, &params);
-    let flat = NodeArrayForest::from_gbdt(&model);
-    for &n in &[5_000usize, 50_000] {
-        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| flat.predict(&x[..n]))
-        });
-    }
-    g.finish();
-}
-
 fn bench_mic(c: &mut Criterion) {
     let mut g = c.benchmark_group("mic");
     g.sample_size(10);
@@ -203,8 +172,6 @@ criterion_group!(
     bench_alloc,
     bench_features,
     bench_gbdt_fit,
-    bench_gbdt_predict,
-    bench_gbdt_predict_nodearray,
     bench_mic,
     bench_simulator,
     bench_single_transfer

@@ -15,8 +15,9 @@
 //! the exact greedy trainer would pick, which is what makes
 //! exact-vs-histogram parity testable tree-for-tree (see the property
 //! tests in `tree.rs`).
-
-use rayon::prelude::*;
+//!
+//! Columns are binned one after another on the calling thread: a column
+//! of a few hundred rows takes microseconds, far less than a thread spawn.
 
 /// Per-feature quantized column: codes plus per-bin value ranges.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,8 +39,8 @@ impl BinnedColumn {
 
 /// A column-major quantized view of a row-major feature matrix.
 ///
-/// Built once per model fit; immutable afterwards, so tree rounds and
-/// parallel workers share it freely.
+/// Built once per model fit; immutable afterwards, so every boosting
+/// round shares it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BinnedMatrix {
     n_rows: usize,
@@ -88,17 +89,13 @@ fn bin_column(values: &[f64], max_bins: usize) -> BinnedColumn {
 impl BinnedMatrix {
     /// Quantize row-major `x` with at most `max_bins` bins per feature.
     ///
-    /// Columns are independent, so they quantize in parallel; the result
-    /// is identical for any thread count. Panics if `max_bins < 2` or
-    /// `max_bins > 65536` (codes are `u16`).
+    /// Panics if `max_bins < 2` or `max_bins > 65536` (codes are `u16`).
     pub fn build(x: &[Vec<f64>], max_bins: usize) -> Self {
         assert!((2..=1 << 16).contains(&max_bins), "max_bins must be in 2..=65536");
         let n_rows = x.len();
         let n_features = x.first().map_or(0, |r| r.len());
-        let feature_ids: Vec<usize> = (0..n_features).collect();
-        let columns: Vec<BinnedColumn> = feature_ids
-            .par_iter()
-            .map(|&f| {
+        let columns: Vec<BinnedColumn> = (0..n_features)
+            .map(|f| {
                 let values: Vec<f64> = x.iter().map(|row| row[f]).collect();
                 bin_column(&values, max_bins)
             })

@@ -10,20 +10,16 @@
 //! once per fit ([`BinnedMatrix`], `max_bins` bins per feature) and every
 //! round trains on the binned view — the XGBoost/LightGBM design. Set
 //! [`GbdtParams::split`] to [`SplitStrategy::Exact`] to fall back to exact
-//! greedy search (reference/parity path). Both paths, and the batched
-//! rayon prediction, are bit-reproducible for a fixed seed regardless of
-//! `WDT_THREADS`.
+//! greedy search (reference/parity path). A fit runs on the calling
+//! thread; parallelism lives at the coarse sites that run many fits
+//! (per-edge models, tuning folds and grid, scenario sweeps), so nothing
+//! here depends on `WDT_THREADS`.
 
 use crate::binning::BinnedMatrix;
 use crate::tree::{Node, RegressionTree, SplitStrategy, TreeParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use wdt_types::json::{JsonError, JsonValue};
-
-/// Row count above which batched prediction fans out across the thread
-/// pool. Below it, scoped-thread spawn costs more than the evaluation.
-const PAR_PREDICT_ROWS: usize = 2048;
 
 /// Boosting hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,7 +101,6 @@ impl Gbdt {
         let mut preds = vec![base_score; n];
         let mut g = vec![0.0; n];
         let h = vec![1.0; n];
-        let parallel_rounds = n >= PAR_PREDICT_ROWS && rayon::current_num_threads() > 1;
         for _ in 0..params.n_rounds {
             for i in 0..n {
                 g[i] = preds[i] - y[i];
@@ -131,17 +126,8 @@ impl Gbdt {
                     RegressionTree::fit(x, &g, &h, &indices, params.tree, &mut model.importance)
                 }
             };
-            // Each row's update is independent, so the round's prediction
-            // refresh fans out across rows on large inputs.
-            if parallel_rounds {
-                let deltas: Vec<f64> = x.par_iter().map(|row| tree.predict_one(row)).collect();
-                for (p, d) in preds.iter_mut().zip(&deltas) {
-                    *p += params.eta * d;
-                }
-            } else {
-                for (i, row) in x.iter().enumerate() {
-                    preds[i] += params.eta * tree.predict_one(row);
-                }
+            for (p, row) in preds.iter_mut().zip(x) {
+                *p += params.eta * tree.predict_one(row);
             }
             model.trees.push(tree);
             let mse = preds.iter().zip(y).map(|(p, t)| (p - t).powi(2)).sum::<f64>() / n as f64;
@@ -196,14 +182,9 @@ impl Gbdt {
         (bias, prediction)
     }
 
-    /// Predict many rows, in parallel for large batches. Rows are
-    /// independent, so the output is identical for any thread count.
+    /// Predict many rows.
     pub fn predict(&self, x: &[Vec<f64>]) -> Vec<f64> {
-        if x.len() >= PAR_PREDICT_ROWS && rayon::current_num_threads() > 1 {
-            x.par_iter().map(|r| self.predict_one(r)).collect()
-        } else {
-            x.iter().map(|r| self.predict_one(r)).collect()
-        }
+        x.iter().map(|r| self.predict_one(r)).collect()
     }
 
     /// Gain-based feature importance, normalized so the largest is 1
@@ -329,36 +310,6 @@ mod tests {
         for row in &x {
             assert_eq!(a.predict_one(row), b.predict_one(row));
         }
-    }
-
-    #[test]
-    fn bit_reproducible_across_thread_counts() {
-        // Large enough to cross every parallelism gate (round refresh,
-        // batched predict, per-node histogram fill, split search), so the
-        // threaded paths actually run and must still match serial bitwise.
-        let x: Vec<Vec<f64>> = (0..3000)
-            .map(|i| {
-                (0..8).map(|f| ((i * (2 * f + 3) + f) % (40 + f)) as f64).collect::<Vec<f64>>()
-            })
-            .collect();
-        let y: Vec<f64> = x.iter().map(|r| r[0] * 2.0 + r[3] * r[3] - r[6]).collect();
-        let p = GbdtParams { n_rounds: 8, ..Default::default() };
-
-        let prev = std::env::var("WDT_THREADS").ok();
-        std::env::set_var("WDT_THREADS", "1");
-        let serial = Gbdt::fit(&x, &y, &p);
-        let serial_pred = serial.predict(&x);
-        std::env::set_var("WDT_THREADS", "4");
-        let threaded = Gbdt::fit(&x, &y, &p);
-        let threaded_pred = threaded.predict(&x);
-        match prev {
-            Some(v) => std::env::set_var("WDT_THREADS", v),
-            None => std::env::remove_var("WDT_THREADS"),
-        }
-
-        assert_eq!(serial_pred, threaded_pred, "predictions depend on thread count");
-        assert_eq!(serial.importance, threaded.importance, "importance depends on thread count");
-        assert_eq!(serial.train_loss, threaded.train_loss, "loss curve depends on thread count");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Minimal, self-contained stand-in for the slice of the `rayon` API this
-//! workspace uses: `par_iter().map(..).collect()` and
-//! `par_iter().filter_map(..).collect()`.
+//! workspace uses: `par_iter().map(..).collect()`,
+//! `par_iter().filter_map(..).collect()` and
+//! `par_iter().enumerate().map(..).collect()`.
 //!
 //! Implementation: items are split into one contiguous chunk per worker
 //! thread (scoped `std::thread`), each chunk is processed in input order,
@@ -163,80 +164,9 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
     }
 }
 
-/// `par_iter_mut()` over a mutable slice.
-pub struct ParIterMut<'a, T> {
-    items: &'a mut [T],
-}
-
-/// `par_iter_mut().enumerate()` adapter, yielding `(index, &mut item)`.
-pub struct ParEnumerateMut<'a, T> {
-    items: &'a mut [T],
-}
-
-impl<'a, T: Send> ParIterMut<'a, T> {
-    /// Pair every item with its input index.
-    pub fn enumerate(self) -> ParEnumerateMut<'a, T> {
-        ParEnumerateMut { items: self.items }
-    }
-
-    /// Mutate every item in place across the thread pool.
-    pub fn for_each<F: Fn(&mut T) + Sync>(self, f: F) {
-        ParEnumerateMut { items: self.items }.for_each(|(_, item)| f(item));
-    }
-}
-
-impl<'a, T: Send> ParEnumerateMut<'a, T> {
-    /// Mutate every `(index, item)` in place. Items are split into one
-    /// contiguous chunk per worker; each item is visited by exactly one
-    /// thread, so the result is identical for any thread count.
-    pub fn for_each<F: Fn((usize, &mut T)) + Sync>(self, f: F) {
-        let n = self.items.len();
-        let threads = current_num_threads().clamp(1, n.max(1));
-        if threads <= 1 || n <= 1 {
-            for pair in self.items.iter_mut().enumerate() {
-                f(pair);
-            }
-            return;
-        }
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            let f = &f;
-            for (t, items) in self.items.chunks_mut(chunk).enumerate() {
-                scope.spawn(move || {
-                    for (j, item) in items.iter_mut().enumerate() {
-                        f((t * chunk + j, item));
-                    }
-                });
-            }
-        });
-    }
-}
-
-/// Entry point: `.par_iter_mut()` on slices and `Vec`s.
-pub trait IntoParallelRefMutIterator<'a> {
-    /// The item type yielded by mutable reference.
-    type Item: Send + 'a;
-    /// Start a parallel mutable iteration borrowing the collection.
-    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, Self::Item>;
-}
-
-impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for [T] {
-    type Item = T;
-    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, T> {
-        ParIterMut { items: self }
-    }
-}
-
-impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for Vec<T> {
-    type Item = T;
-    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, T> {
-        ParIterMut { items: self }
-    }
-}
-
 pub mod prelude {
     //! Glob-import surface, mirroring `rayon::prelude`.
-    pub use crate::{IntoParallelRefIterator, IntoParallelRefMutIterator};
+    pub use crate::IntoParallelRefIterator;
 }
 
 #[cfg(test)]
@@ -277,23 +207,6 @@ mod tests {
         let one = [7u8];
         let out: Vec<u8> = one.par_iter().map(|&x| x + 1).collect();
         assert_eq!(out, vec![8]);
-    }
-
-    #[test]
-    fn for_each_mut_visits_every_item_once() {
-        let mut xs: Vec<u64> = (0..10_000).collect();
-        xs.par_iter_mut().for_each(|x| *x += 1);
-        assert!(xs.iter().enumerate().all(|(i, &x)| x == i as u64 + 1));
-    }
-
-    #[test]
-    fn enumerate_mut_indices_match_positions() {
-        let mut xs: Vec<u64> = vec![0; 5_000];
-        xs.par_iter_mut().enumerate().for_each(|(i, x)| *x = i as u64 * 3);
-        assert!(xs.iter().enumerate().all(|(i, &x)| x == i as u64 * 3));
-        let mut empty: Vec<u64> = vec![];
-        empty.par_iter_mut().for_each(|x| *x = 1);
-        assert!(empty.is_empty());
     }
 
     #[test]

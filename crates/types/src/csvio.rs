@@ -106,8 +106,18 @@ pub fn parse_csv_line(line: &str, line_no: usize) -> Result<TransferRecord, CsvE
     fn p<T: std::str::FromStr>(v: &str, line: usize, column: &'static str) -> Result<T, CsvError> {
         v.trim().parse().map_err(|_| CsvError::BadField { line, column })
     }
-    let start: f64 = p(fields[3], line_no, "start")?;
-    let end: f64 = p(fields[4], line_no, "end")?;
+    // `f64::from_str` accepts `nan`, `inf` and `-inf`; a timestamp must be
+    // a real time.
+    fn time(v: &str, line: usize, column: &'static str) -> Result<f64, CsvError> {
+        let t: f64 = p(v, line, column)?;
+        if t.is_finite() {
+            Ok(t)
+        } else {
+            Err(CsvError::BadField { line, column })
+        }
+    }
+    let start = time(fields[3], line_no, "start")?;
+    let end = time(fields[4], line_no, "end")?;
     if end < start {
         return Err(CsvError::NegativeDuration { line: line_no });
     }
@@ -321,6 +331,29 @@ mod tests {
     fn rejects_unparsable_field() {
         let csv = format!("{CSV_HEADER}\n1,2,3,abc,5,6,7,8,9,10,11\n");
         assert_eq!(records_from_csv(&csv), Err(CsvError::BadField { line: 2, column: "start" }));
+    }
+
+    #[test]
+    fn rejects_non_finite_timestamps() {
+        // Each bad value sits on line 3, after one good record, in each
+        // timestamp column; both parsers must name the line and column.
+        for bad in ["nan", "inf", "-inf", "NaN", "infinity"] {
+            for (column, line) in [
+                ("start", format!("1,2,3,{bad},10,100,1,1,1,1,0")),
+                ("end", format!("1,2,3,0,{bad},100,1,1,1,1,0")),
+            ] {
+                let csv = format!("{CSV_HEADER}\n0,2,3,0,10,100,1,1,1,1,0\n{line}\n");
+                let want = CsvError::BadField { line: 3, column };
+                assert_eq!(records_from_csv(&csv), Err(want.clone()), "{bad} in {column}");
+                let streamed: Vec<_> = CsvReader::new(csv.as_bytes()).collect();
+                assert_eq!(streamed.len(), 2, "{bad} in {column}: stream must stop at the error");
+                assert!(streamed[0].is_ok());
+                match &streamed[1] {
+                    Err(CsvStreamError::Parse(e)) => assert_eq!(e, &want, "{bad} in {column}"),
+                    other => panic!("{bad} in {column}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]
