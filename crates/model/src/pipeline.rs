@@ -168,9 +168,8 @@ impl FittedModel {
     /// warmed-up caller predicts whole batches without touching the
     /// allocator. Results are bitwise equal to [`FittedModel::predict`]:
     /// row preparation runs the same gather + normalize, and boosted
-    /// models go through the same serial block kernel
-    /// (`NodeArrayForest::predict_into`) that `predict` uses for
-    /// sub-parallel-threshold batches like serving micro-batches.
+    /// models go through the same block kernel
+    /// (`NodeArrayForest::predict_into`) that `predict` uses.
     pub fn predict_into(&self, x: &[Vec<f64>], out: &mut Vec<f64>, scratch: &mut PredictScratch) {
         out.clear();
         out.resize(x.len(), 0.0);
