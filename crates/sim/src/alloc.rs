@@ -36,7 +36,7 @@ pub const MAX_FLOW_RESOURCES: usize = 6;
 /// indices (into the capacity vector) of the shared resources it consumes.
 ///
 /// Resources are stored inline (no heap allocation) because the simulator
-/// rebuilds demands at every event.
+/// copies the running flows' demands at every reallocation.
 #[derive(Debug, Clone, Copy)]
 pub struct FlowDemand {
     /// Private rate ceiling in bytes/s (TCP aggregate, or `f64::INFINITY`).
@@ -110,15 +110,71 @@ fn cap_threshold(cap: f64) -> f64 {
     }
 }
 
+/// `min(m, a / b)`: as `f64::min(m, a / b)`, up to the sign of a zero
+/// result (a zero step is never taken), in one compare.
+#[inline]
+fn min_step(m: f64, a: f64, b: f64) -> f64 {
+    let q = a / b;
+    if q < m {
+        q
+    } else {
+        m
+    }
+}
+
+/// Marks a resource with no compact index in [`AllocScratch`].
+const UNUSED: u32 = u32::MAX;
+
+/// One flow's fill terms, fixed for a call: its cap and freeze threshold,
+/// and per resource entry the compact resource index and the
+/// `weight × coefficient` product the fill subtracts.
+#[derive(Debug, Clone, Copy)]
+struct FlowTerms {
+    cap: f64,
+    weight: f64,
+    cap_threshold: f64,
+    res: [u32; MAX_FLOW_RESOURCES],
+    wc: [f64; MAX_FLOW_RESOURCES],
+    n_res: u8,
+}
+
+impl FlowTerms {
+    fn entries(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.res[..self.n_res as usize].iter().map(|&k| k as usize).zip(self.wc)
+    }
+}
+
+/// One resource the call's flows use.
+#[derive(Debug, Clone, Copy)]
+struct ResFill {
+    remaining: f64,
+    /// Saturation tolerance, relative to the resource's own scale.
+    tol: f64,
+    /// Sum of `weight × coefficient` over unfrozen users.
+    wsum: f64,
+    /// Unfrozen flows' entries on this resource (a flow that lists it
+    /// twice counts twice).
+    users: u32,
+}
+
 /// Reusable workspace for [`allocate_into`]. The simulator reallocates at
-/// every event, so the per-call vectors are worth keeping around.
+/// every event that can change a rate, so the per-call vectors are worth
+/// keeping around.
 #[derive(Debug, Default, Clone)]
 pub struct AllocScratch {
     rates: Vec<f64>,
-    remaining: Vec<f64>,
-    tol: Vec<f64>,
-    wsum: Vec<f64>,
-    frozen: Vec<bool>,
+    terms: Vec<FlowTerms>,
+    /// Unfrozen flows, in input order.
+    active: Vec<u32>,
+    /// The resources the flows use, in order of first use.
+    res: Vec<ResFill>,
+    /// Capacity index of each entry of `res`.
+    res_index: Vec<usize>,
+    /// Resources (compact indices) with unfrozen users.
+    active_res: Vec<u32>,
+    /// Capacity index → compact index, or [`UNUSED`]. Every entry is
+    /// [`UNUSED`] between calls.
+    compact: Vec<u32>,
     reuses: u64,
 }
 
@@ -144,6 +200,15 @@ pub fn allocate(capacities: &[f64], flows: &[FlowDemand]) -> Vec<f64> {
 
 /// As [`allocate`], but reusing `scratch` across calls; the result lives in
 /// the returned slice until the next call.
+///
+/// Each round of the fill costs the unfrozen flows and the resources they
+/// use, not `capacities.len()`: only the entries some flow lists get a
+/// compact slot, and frozen flows and resources without unfrozen users
+/// drop out of the working lists. The arithmetic is the textbook dense
+/// fill's, bit for bit: the step is the minimum of the same quotients (one
+/// per active resource instead of one per flow entry), and every
+/// resource's weight sum and headroom receive the same terms in the same
+/// flow order.
 pub fn allocate_into<'a>(
     capacities: &[f64],
     flows: &[FlowDemand],
@@ -154,7 +219,7 @@ pub fn allocate_into<'a>(
     if scratch.rates.capacity() > 0 {
         scratch.reuses += 1;
     }
-    let rates = &mut scratch.rates;
+    let AllocScratch { rates, terms, active, res, res_index, active_res, compact, .. } = scratch;
     rates.clear();
     rates.resize(nf, 0.0);
     if nf == 0 {
@@ -163,31 +228,141 @@ pub fn allocate_into<'a>(
     debug_assert!(flows.iter().all(|f| f.weight > 0.0), "weights must be positive");
     debug_assert!(flows.iter().all(|f| f.resources().iter().all(|&r| r < nr)));
 
-    let remaining = &mut scratch.remaining;
-    remaining.clear();
-    remaining.extend_from_slice(capacities);
-    // Saturation tolerance, relative to each resource's own scale.
-    let tol = &mut scratch.tol;
-    tol.clear();
-    tol.extend(capacities.iter().map(|c| REL_EPS * c.abs().max(1.0)));
-    let frozen = &mut scratch.frozen;
-    frozen.clear();
-    frozen.resize(nf, false);
-    // Sum of coefficient-scaled weights of unfrozen users per resource.
-    let wsum = &mut scratch.wsum;
-    wsum.clear();
-    wsum.resize(nr, 0.0);
+    if compact.len() < nr {
+        compact.resize(nr, UNUSED);
+    }
+    terms.clear();
+    res.clear();
+    res_index.clear();
+    for f in flows {
+        let mut t = FlowTerms {
+            cap: f.cap,
+            weight: f.weight,
+            cap_threshold: cap_threshold(f.cap),
+            res: [0; MAX_FLOW_RESOURCES],
+            wc: [0.0; MAX_FLOW_RESOURCES],
+            n_res: f.n_res,
+        };
+        for (j, (&r, &c)) in f.resources().iter().zip(f.coefficients()).enumerate() {
+            if compact[r] == UNUSED {
+                compact[r] = res.len() as u32;
+                res_index.push(r);
+                let cap = capacities[r];
+                res.push(ResFill {
+                    remaining: cap,
+                    tol: REL_EPS * cap.abs().max(1.0),
+                    wsum: 0.0,
+                    users: 0,
+                });
+            }
+            let k = compact[r];
+            let wc = f.weight * c;
+            let fill = &mut res[k as usize];
+            fill.wsum += wc;
+            fill.users += 1;
+            t.res[j] = k;
+            t.wc[j] = wc;
+        }
+        terms.push(t);
+    }
+    active.clear();
+    active.extend(0..nf as u32);
+    active_res.clear();
+    active_res.extend(0..res.len() as u32);
+
+    // Feasible step: the smallest of cap headroom per unit weight over
+    // unfrozen flows and headroom per unit weight of unfrozen users over
+    // the resources they use. The freeze pass and the pass dropping idle
+    // resources take it for the next round.
+    let mut delta = f64::INFINITY;
+    for (t, &rate) in terms.iter().zip(rates.iter()) {
+        delta = min_step(delta, (t.cap - rate).max(0.0), t.weight);
+    }
+    for fill in res.iter() {
+        if fill.wsum > 0.0 {
+            delta = min_step(delta, fill.remaining.max(0.0), fill.wsum);
+        }
+    }
+    // Each iteration freezes at least one flow, so nf iterations suffice;
+    // the +1 covers the final bookkeeping pass.
+    for _ in 0..=nf {
+        if active.is_empty() {
+            break;
+        }
+        if delta.is_finite() && delta > 0.0 {
+            for &i in active.iter() {
+                let t = &terms[i as usize];
+                rates[i as usize] += t.weight * delta;
+                for (k, wc) in t.entries() {
+                    res[k].remaining -= wc * delta;
+                }
+            }
+        }
+        // Freeze flows at their cap or touching an exhausted resource.
+        // Every user of a resource exhausted earlier froze then, so only an
+        // active resource can be exhausted now, and if none is, no flow
+        // needs its resources checked.
+        let exhausted = active_res.iter().any(|&k| {
+            let fill = &res[k as usize];
+            fill.remaining <= fill.tol
+        });
+        delta = f64::INFINITY;
+        active.retain(|&i| {
+            let t = &terms[i as usize];
+            let rate = rates[i as usize];
+            let at_cap = rate >= t.cap_threshold;
+            let blocked = exhausted && t.entries().any(|(k, _)| res[k].remaining <= res[k].tol);
+            if at_cap || blocked {
+                for (k, wc) in t.entries() {
+                    res[k].wsum -= wc;
+                    res[k].users -= 1;
+                }
+                return false;
+            }
+            delta = min_step(delta, (t.cap - rate).max(0.0), t.weight);
+            true
+        });
+        active_res.retain(|&k| {
+            let fill = &res[k as usize];
+            if fill.users > 0 && fill.wsum > 0.0 {
+                delta = min_step(delta, fill.remaining.max(0.0), fill.wsum);
+            }
+            fill.users > 0
+        });
+    }
+    for &r in res_index.iter() {
+        compact[r] = UNUSED;
+    }
+    // Numerical hygiene: clamp tiny negatives introduced by subtraction.
+    for r in rates.iter_mut() {
+        if *r < 0.0 {
+            *r = 0.0;
+        }
+    }
+    rates
+}
+
+/// The textbook dense fill [`allocate_into`] replaced: every round scans
+/// every flow and every entry, with per-resource state sized to the whole
+/// capacity vector. Kept as the bitwise oracle for the compact fill.
+#[cfg(test)]
+fn allocate_dense(capacities: &[f64], flows: &[FlowDemand]) -> Vec<f64> {
+    let nf = flows.len();
+    let nr = capacities.len();
+    let mut rates = vec![0.0; nf];
+    if nf == 0 {
+        return rates;
+    }
+    let mut remaining = capacities.to_vec();
+    let tol: Vec<f64> = capacities.iter().map(|c| REL_EPS * c.abs().max(1.0)).collect();
+    let mut frozen = vec![false; nf];
+    let mut wsum = vec![0.0; nr];
     for f in flows {
         for (&r, &c) in f.resources().iter().zip(f.coefficients()) {
             wsum[r] += f.weight * c;
         }
     }
-
-    // Each iteration freezes at least one flow, so nf iterations suffice;
-    // the +1 covers the final bookkeeping pass.
     for _ in 0..=nf {
-        // Feasible step: the smallest of resource headroom per unit weight
-        // and cap headroom per unit weight over unfrozen flows.
         let mut delta = f64::INFINITY;
         let mut any_unfrozen = false;
         for (i, f) in flows.iter().enumerate() {
@@ -216,7 +391,6 @@ pub fn allocate_into<'a>(
                 }
             }
         }
-        // Freeze flows at their cap or touching an exhausted resource.
         for (i, f) in flows.iter().enumerate() {
             if frozen[i] {
                 continue;
@@ -231,7 +405,6 @@ pub fn allocate_into<'a>(
             }
         }
     }
-    // Numerical hygiene: clamp tiny negatives introduced by subtraction.
     for r in rates.iter_mut() {
         if *r < 0.0 {
             *r = 0.0;
@@ -406,6 +579,32 @@ mod tests {
         // First call fills cold buffers; the two follow-ups reuse them.
         assert_eq!(scratch.reuses(), 2);
     }
+
+    #[test]
+    fn compact_fill_matches_dense_fill_on_loopback_flows() {
+        // Engine-shaped demands over two endpoints (five resources each:
+        // disk read, disk write, NIC out, NIC in, CPU). A loopback flow
+        // lists its endpoint's CPU twice; non-checksummed flows draw on
+        // CPU at half rate.
+        let flow = |src: usize, dst: usize, cap: f64, weight: f64, cpu: f64| {
+            FlowDemand::with_coefficients(
+                cap,
+                weight,
+                &[5 * src, 5 * src + 2, 5 * src + 4, 5 * dst + 3, 5 * dst + 4, 5 * dst + 1],
+                &[1.0, 1.0, cpu, 1.0, cpu, 1.0],
+            )
+        };
+        let caps = [1.5e9, 1.1e9, 1.175e9, 1.175e9, 9.6e8, 4.0e8, 3.0e8, 1.175e8, 1.175e8, 2.4e8];
+        let flows = vec![
+            flow(0, 0, f64::INFINITY, 2.0, 0.5),
+            flow(0, 1, 6.0e8, 1.0, 1.0),
+            flow(1, 1, 2.0e8, 2.0f64.sqrt(), 1.0),
+            flow(1, 0, f64::INFINITY, 1.0, 0.5),
+            flow(0, 0, 3.0e7, 1.0, 1.0),
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&allocate(&caps, &flows)), bits(&allocate_dense(&caps, &flows)));
+    }
 }
 
 #[cfg(test)]
@@ -437,7 +636,55 @@ mod prop_tests {
         })
     }
 
+    /// A value drawn log-uniformly from `[10^lo, 10^hi)`.
+    fn log_uniform(lo: f64, hi: f64) -> impl Strategy<Value = f64> {
+        (lo..hi).prop_map(|e| 10f64.powf(e))
+    }
+
+    /// Engine-scale problems for the bitwise comparison: capacities from
+    /// 1e2 to 1e10, finite and infinite caps, resource lists that may name
+    /// one resource twice (a loopback flow's CPU) or none, and 0.5
+    /// coefficients (CPU without checksumming).
+    fn arb_engine_problem() -> impl Strategy<Value = (Vec<f64>, Vec<FlowDemand>)> {
+        (1usize..16).prop_flat_map(|nr| {
+            let caps = proptest::collection::vec(log_uniform(2.0, 10.0), nr);
+            let entry = (0..nr, prop_oneof![Just(1.0), Just(0.5)]);
+            let flows = proptest::collection::vec(
+                (
+                    prop_oneof![log_uniform(1.0, 11.0), Just(f64::INFINITY)],
+                    1.0f64..4.0,
+                    proptest::collection::vec(entry, 0..=MAX_FLOW_RESOURCES),
+                ),
+                1..24,
+            );
+            (caps, flows).prop_map(|(caps, flows)| {
+                let flows = flows
+                    .into_iter()
+                    .map(|(cap, weight, entries)| {
+                        let (rs, cs): (Vec<usize>, Vec<f64>) = entries.into_iter().unzip();
+                        FlowDemand::with_coefficients(cap, weight, &rs, &cs)
+                    })
+                    .collect();
+                (caps, flows)
+            })
+        })
+    }
+
     proptest! {
+        #[test]
+        fn compact_fill_matches_dense_fill_bitwise(
+            problems in proptest::collection::vec(arb_engine_problem(), 1..4)
+        ) {
+            // One scratch across differently shaped calls, as the engine
+            // reuses it.
+            let mut scratch = AllocScratch::default();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for (caps, flows) in &problems {
+                let want = bits(&allocate_dense(caps, flows));
+                prop_assert_eq!(bits(allocate_into(caps, flows, &mut scratch)), want);
+            }
+        }
+
         #[test]
         fn no_resource_oversubscribed((caps, flows) in arb_problem()) {
             let rates = allocate(&caps, &flows);

@@ -27,9 +27,11 @@
 //!    from-scratch implementation, within capacity-relative tolerance
 //!    (sampled every [`oracle_every`]-th reallocation).
 //!
-//! The engine separately verifies its incremental state (censuses and
-//! capacity vector vs. a from-scratch rebuild), event-time monotonicity,
-//! and per-transfer byte conservation; see `engine.rs`.
+//! The engine separately verifies its incremental state (censuses, slot
+//! counts, running-flow index, per-resource running-user counts and
+//! capacity vector vs. a from-scratch rebuild), every skipped reallocation
+//! (bitwise against a fresh one), event-time monotonicity, and
+//! per-transfer byte conservation; see `engine.rs`.
 
 use crate::alloc::FlowDemand;
 use std::sync::OnceLock;

@@ -2,10 +2,11 @@
 //!
 //! See the crate docs for the model. The engine owns the endpoint catalog,
 //! the event queue, the set of active flows, and the background-load
-//! processes; it advances a fluid model where every flow's rate is
-//! recomputed by [`crate::alloc::allocate`] at each event.
+//! processes; it advances a fluid model where the running flows' rates are
+//! recomputed by [`crate::alloc::allocate`] at each event that can change
+//! them.
 
-use crate::alloc::{allocate_into, AllocScratch, FlowDemand};
+use crate::alloc::{allocate_into, AllocScratch, FlowDemand, MAX_FLOW_RESOURCES};
 use crate::background::{BackgroundProcess, BgKind};
 use crate::config::SimConfig;
 use crate::endpoint::EndpointCatalog;
@@ -33,6 +34,15 @@ pub enum TransferMode {
     ZeroToDisk,
 }
 
+impl TransferMode {
+    fn reads_disk(self) -> bool {
+        matches!(self, TransferMode::DiskToDisk | TransferMode::DiskToNull)
+    }
+    fn writes_disk(self) -> bool {
+        matches!(self, TransferMode::DiskToDisk | TransferMode::ZeroToDisk)
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum FlowState {
     /// Startup + metadata overhead; occupies processes, moves no data.
@@ -56,25 +66,15 @@ struct ActiveFlow {
     /// Bytes actually moved, accumulated independently of `remaining` so
     /// the invariant checker can verify byte conservation at completion.
     moved: f64,
-    /// Per-run multiplicative jitter on the flow's private ceiling.
-    jitter: f64,
-    /// Private network ceiling, computed once at start (it depends only on
-    /// the request and the jitter, both fixed for the flow's lifetime).
-    cap: f64,
+    /// Private network ceiling (`demand.cap`), fair-share weight and shared
+    /// resources, built once at start: they depend only on the request, the
+    /// mode and the flow's jitter, all fixed for its lifetime.
+    demand: FlowDemand,
 }
 
 impl ActiveFlow {
     fn procs(&self) -> u32 {
         self.req.effective_concurrency()
-    }
-    fn streams(&self) -> u32 {
-        self.req.tcp_streams()
-    }
-    fn reads_disk(&self) -> bool {
-        matches!(self.mode, TransferMode::DiskToDisk | TransferMode::DiskToNull)
-    }
-    fn writes_disk(&self) -> bool {
-        matches!(self.mode, TransferMode::DiskToDisk | TransferMode::ZeroToDisk)
     }
 }
 
@@ -98,7 +98,12 @@ pub struct SimOutput {
 pub struct SimStats {
     /// Events popped from the event queue.
     pub events: u64,
-    /// Rate reallocations performed.
+    /// Rate reallocations performed. An arrival, background toggle or
+    /// capacity boundary that changes no capacity a running flow draws on
+    /// skips its reallocation (the result would be bitwise the current
+    /// rates) and is not counted. With checking enabled, the differential
+    /// oracle samples every `WDT_CHECK_ORACLE_EVERY`-th performed
+    /// reallocation (see [`crate::check::oracle_every`]).
     pub reallocations: u64,
     /// Wall-clock seconds spent inside [`Simulator::reallocate`].
     pub realloc_time_s: f64,
@@ -227,6 +232,15 @@ pub struct Simulator {
     waiting: std::collections::VecDeque<(TransferRequest, TransferMode)>,
     /// Active transfer count per endpoint (slot accounting).
     active_per_ep: Vec<u32>,
+    /// Slots of the running flows, ascending: the order their demands
+    /// reach the allocator.
+    running: Vec<usize>,
+    /// Per capacity entry, the running flows' demand entries drawing on it
+    /// (a loopback flow's CPU counts twice).
+    running_users: Vec<u32>,
+    /// Set when the skip rule declined a reallocation since the last loop
+    /// iteration; the invariant checker then proves the skip exact.
+    skipped: bool,
     // Incremental per-endpoint censuses, maintained on every flow state
     // transition so `reallocate` never rescans the flow table to rebuild
     // them.
@@ -243,8 +257,9 @@ pub struct Simulator {
     // Scratch, reused across reallocations.
     capacities: Vec<f64>,
     demands: Vec<FlowDemand>,
-    slot_of_demand: Vec<usize>,
     alloc_scratch: AllocScratch,
+    /// Slots `harvest_completions` found finished.
+    finished: Vec<usize>,
     /// Queue positions `drain_waiting` decided to start.
     picked: Vec<usize>,
     /// Transfers logged so far. Tracked separately from `records.len()`
@@ -295,6 +310,9 @@ impl Simulator {
             lmt_samples: Vec::new(),
             waiting: std::collections::VecDeque::new(),
             active_per_ep: vec![0; n],
+            running: Vec::new(),
+            running_users: vec![0; n * RES_PER_EP],
+            skipped: false,
             read_streams: vec![0; n],
             write_streams: vec![0; n],
             processes: vec![0; n],
@@ -303,8 +321,8 @@ impl Simulator {
             bg_by_ep: Vec::new(),
             capacities: vec![0.0; n * RES_PER_EP],
             demands: Vec::new(),
-            slot_of_demand: Vec::new(),
             alloc_scratch: AllocScratch::default(),
+            finished: Vec::new(),
             picked: Vec::new(),
             completed: 0,
             stats: SimStats::default(),
@@ -396,14 +414,40 @@ impl Simulator {
         self.cfg.base_loss * mult * (1.0 + dist / 5000.0)
     }
 
-    /// The flow's private network ceiling.
-    fn flow_cap(&self, flow: &ActiveFlow) -> f64 {
-        let rtt = self.path_rtt(flow.req.src, flow.req.dst);
-        let loss = self.path_loss(flow.req.src, flow.req.dst);
-        let streams = flow.streams();
+    /// A flow's demand: its private network ceiling (scaled by `jitter`),
+    /// its fair-share weight, and the shared resources it moves data
+    /// through in `mode`.
+    fn flow_demand(&self, req: &TransferRequest, mode: TransferMode, jitter: f64) -> FlowDemand {
+        let rtt = self.path_rtt(req.src, req.dst);
+        let loss = self.path_loss(req.src, req.dst);
+        let streams = req.tcp_streams();
         let agg = aggregate_ceiling(&self.tcp, rtt, loss, streams, self.cfg.backbone);
         let eff = stream_efficiency(streams, self.cfg.stream_knee);
-        agg.as_f64() * eff * flow.jitter
+        let cap = agg.as_f64() * eff * jitter;
+        let mut resources = [0usize; MAX_FLOW_RESOURCES];
+        let mut coeffs = [1.0f64; MAX_FLOW_RESOURCES];
+        // Integrity checksumming (Globus default) roughly doubles the CPU
+        // cost per byte; `core_bw` is calibrated for checksummed transfers,
+        // so non-checksummed flows consume CPU at half rate.
+        let cpu_coeff = if req.checksum { 1.0 } else { 0.5 };
+        let mut n = 0;
+        if mode.reads_disk() {
+            resources[n] = res_idx(req.src, R_DISK_READ);
+            n += 1;
+        }
+        resources[n] = res_idx(req.src, R_NIC_OUT);
+        resources[n + 1] = res_idx(req.src, R_CPU);
+        coeffs[n + 1] = cpu_coeff;
+        resources[n + 2] = res_idx(req.dst, R_NIC_IN);
+        resources[n + 3] = res_idx(req.dst, R_CPU);
+        coeffs[n + 3] = cpu_coeff;
+        n += 4;
+        if mode.writes_disk() {
+            resources[n] = res_idx(req.dst, R_DISK_WRITE);
+            n += 1;
+        }
+        let weight = (streams as f64).sqrt().max(1.0);
+        FlowDemand::with_coefficients(cap, weight, &resources[..n], &coeffs[..n])
     }
 
     /// Mark an endpoint's capacity entries stale.
@@ -430,14 +474,25 @@ impl Simulator {
         }
     }
 
-    /// Add or remove a *running* flow's disk streams from the census.
-    /// Must be called exactly once per transition into/out of
-    /// [`FlowState::Running`].
+    /// Add (`+1`) or remove (`-1`) a *running* flow: its disk streams in
+    /// the census, its slot in the running index and its demand entries in
+    /// the per-resource user counts. Must be called exactly once per
+    /// transition into/out of [`FlowState::Running`].
     fn census_streams(&mut self, slot: usize, sign: i64) {
         let f = self.flows[slot].as_ref().expect("live slot");
         let e = f.procs() as i64 * sign;
-        let (reads, writes) = (f.reads_disk(), f.writes_disk());
+        let (reads, writes) = (f.mode.reads_disk(), f.mode.writes_disk());
         let (src, dst) = (f.req.src, f.req.dst);
+        for &r in f.demand.resources() {
+            self.running_users[r] = (self.running_users[r] as i64 + sign) as u32;
+        }
+        match (self.running.binary_search(&slot), sign > 0) {
+            (Err(at), true) => self.running.insert(at, slot),
+            (Ok(at), false) => {
+                self.running.remove(at);
+            }
+            _ => unreachable!("slot {slot} entered or left Running twice"),
+        }
         if reads {
             let i = src.0 as usize;
             self.read_streams[i] = (self.read_streams[i] as i64 + e) as u32;
@@ -485,11 +540,13 @@ impl Simulator {
         self.capacities[res_idx(id, R_CPU)] = cpu;
     }
 
-    /// Recompute all flow rates with weighted progressive filling.
+    /// Recompute the running flows' rates with weighted progressive
+    /// filling. Every other live flow moves no data and holds rate 0.
     ///
     /// Incremental: capacity entries are refreshed only for endpoints whose
-    /// census or background demand changed since the last call, and all
-    /// per-call vectors are reused scratch.
+    /// census or background demand changed since the last call, the demands
+    /// are the running flows' prebuilt ones in slot order, and all per-call
+    /// vectors are reused scratch.
     fn reallocate(&mut self) {
         let _span = wdt_obs::span_at("sim.reallocate", self.sim_us());
         // Phase-level clocks only tick when observability is on; the
@@ -508,44 +565,10 @@ impl Simulator {
             self.verify_incremental_state();
         }
         let t_verify = mark(phased);
-        // Demands for running flows (cached private ceilings).
         self.demands.clear();
-        self.slot_of_demand.clear();
-        for (slot, f) in self.flows.iter().enumerate() {
-            let Some(f) = f else { continue };
-            if f.state != FlowState::Running {
-                continue;
-            }
-            let mut resources = [0usize; 6];
-            let mut coeffs = [1.0f64; 6];
-            // Integrity checksumming (Globus default) roughly doubles the
-            // CPU cost per byte; `core_bw` is calibrated for checksummed
-            // transfers, so non-checksummed flows consume CPU at half rate.
-            let cpu_coeff = if f.req.checksum { 1.0 } else { 0.5 };
-            let mut n = 0;
-            if f.reads_disk() {
-                resources[n] = res_idx(f.req.src, R_DISK_READ);
-                n += 1;
-            }
-            resources[n] = res_idx(f.req.src, R_NIC_OUT);
-            resources[n + 1] = res_idx(f.req.src, R_CPU);
-            coeffs[n + 1] = cpu_coeff;
-            resources[n + 2] = res_idx(f.req.dst, R_NIC_IN);
-            resources[n + 3] = res_idx(f.req.dst, R_CPU);
-            coeffs[n + 3] = cpu_coeff;
-            n += 4;
-            if f.writes_disk() {
-                resources[n] = res_idx(f.req.dst, R_DISK_WRITE);
-                n += 1;
-            }
-            self.demands.push(FlowDemand::with_coefficients(
-                f.cap,
-                (f.streams() as f64).sqrt().max(1.0),
-                &resources[..n],
-                &coeffs[..n],
-            ));
-            self.slot_of_demand.push(slot);
-        }
+        self.demands.extend(
+            self.running.iter().map(|&s| self.flows[s].as_ref().expect("running slot").demand),
+        );
         let t_demand = mark(phased);
         let sim_us = self.sim_us();
         let rates = allocate_into(&self.capacities, &self.demands, &mut self.alloc_scratch);
@@ -569,13 +592,8 @@ impl Simulator {
             }
         }
         let t_checks = mark(phased);
-        for f in self.flows.iter_mut().flatten() {
-            if f.state != FlowState::Running {
-                f.rate = 0.0;
-            }
-        }
-        for (&slot, &rate) in self.slot_of_demand.iter().zip(rates) {
-            self.flows[slot].as_mut().expect("live slot").rate = rate;
+        for (&slot, &rate) in self.running.iter().zip(rates) {
+            self.flows[slot].as_mut().expect("running slot").rate = rate;
         }
         self.stats.scratch_reuses = self.alloc_scratch.reuses();
         if let (Some(t_refresh), Some(t_verify), Some(t_demand), Some(t_alloc), Some(t_checks)) =
@@ -590,39 +608,59 @@ impl Simulator {
         self.stats.realloc_time_s += t0.elapsed().as_secs_f64();
     }
 
-    /// Cross-check the incrementally maintained censuses and capacity
+    /// Cross-check the incrementally maintained censuses, running-flow
+    /// index, per-resource running-user counts, slot counts and capacity
     /// vector against a from-scratch rebuild. This is the check that
-    /// guards the PR 1 optimizations: a missed `mark_dirty` or census
-    /// update shows up here as stale state, long before it corrupts a
-    /// record. Called from `reallocate` when checking is enabled; the
-    /// capacity comparison is exact because `refresh_capacities` is a
-    /// deterministic function of censuses and background demand.
+    /// guards the incremental refresh and the skip rule: a missed
+    /// `mark_dirty` or census update shows up here as stale state, long
+    /// before it corrupts a record. Called from `reallocate` when checking
+    /// is enabled; the capacity comparison is exact because
+    /// `refresh_capacities` is a deterministic function of censuses and
+    /// background demand.
     fn verify_incremental_state(&mut self) {
         let n = self.endpoints.len();
         let mut read = vec![0u32; n];
         let mut write = vec![0u32; n];
         let mut procs = vec![0u32; n];
-        for f in self.flows.iter().flatten() {
+        let mut active = vec![0u32; n];
+        let mut running = Vec::new();
+        let mut users = vec![0u32; n * RES_PER_EP];
+        let mut violations = Vec::new();
+        for (slot, f) in self.flows.iter().enumerate() {
+            let Some(f) = f else { continue };
+            let (src, dst) = (f.req.src.0 as usize, f.req.dst.0 as usize);
             let e = f.procs();
-            procs[f.req.src.0 as usize] += e;
-            if f.req.dst != f.req.src {
-                procs[f.req.dst.0 as usize] += e;
+            procs[src] += e;
+            active[src] += 1;
+            if dst != src {
+                procs[dst] += e;
+                active[dst] += 1;
             }
             if f.state == FlowState::Running {
-                if f.reads_disk() {
-                    read[f.req.src.0 as usize] += e;
+                if f.mode.reads_disk() {
+                    read[src] += e;
                 }
-                if f.writes_disk() {
-                    write[f.req.dst.0 as usize] += e;
+                if f.mode.writes_disk() {
+                    write[dst] += e;
                 }
+                running.push(slot);
+                for &r in f.demand.resources() {
+                    users[r] += 1;
+                }
+            } else if f.rate != 0.0 {
+                // `reallocate` assigns running flows only.
+                violations.push(crate::check::Violation {
+                    invariant: "census-drift",
+                    detail: format!("slot {slot}: {:?} flow holds rate {}", f.state, f.rate),
+                });
             }
         }
-        let mut violations = Vec::new();
         for i in 0..n {
             for (name, got, want) in [
                 ("read_streams", self.read_streams[i], read[i]),
                 ("write_streams", self.write_streams[i], write[i]),
                 ("processes", self.processes[i], procs[i]),
+                ("active_per_ep", self.active_per_ep[i], active[i]),
             ] {
                 if got != want {
                     violations.push(crate::check::Violation {
@@ -630,6 +668,24 @@ impl Simulator {
                         detail: format!("endpoint {i}: incremental {name} {got} != rebuilt {want}"),
                     });
                 }
+            }
+        }
+        if self.running != running {
+            violations.push(crate::check::Violation {
+                invariant: "census-drift",
+                detail: format!("running-flow index {:?} != rebuilt {running:?}", self.running),
+            });
+        }
+        for (r, (&got, &want)) in self.running_users.iter().zip(&users).enumerate() {
+            if got != want {
+                violations.push(crate::check::Violation {
+                    invariant: "census-drift",
+                    detail: format!(
+                        "resource {r} (endpoint {}): incremental running users {got} != rebuilt \
+                         {want}",
+                        r / RES_PER_EP
+                    ),
+                });
             }
         }
         // Capacities: every entry must match a from-scratch refresh (the
@@ -652,6 +708,36 @@ impl Simulator {
         crate::check::enforce(&format!("incremental state @ t={}", self.now), &violations);
     }
 
+    /// Prove a skipped reallocation exact: allocate afresh on capacities
+    /// rebuilt from scratch and require every running flow's current rate
+    /// bit for bit. The incremental capacity vector is restored afterwards,
+    /// so a missed `mark_dirty` still shows up at the next reallocation.
+    fn verify_skip(&mut self) {
+        self.stats.invariant_checks += 1;
+        let incremental = self.capacities.clone();
+        for ep in 0..self.endpoints.len() as u32 {
+            self.refresh_capacities(ep);
+        }
+        let demands: Vec<FlowDemand> = self
+            .running
+            .iter()
+            .map(|&s| self.flows[s].as_ref().expect("running slot").demand)
+            .collect();
+        let rates = crate::alloc::allocate(&self.capacities, &demands);
+        self.capacities = incremental;
+        let mut violations = Vec::new();
+        for (&slot, &want) in self.running.iter().zip(&rates) {
+            let got = self.flows[slot].as_ref().expect("running slot").rate;
+            if got.to_bits() != want.to_bits() {
+                violations.push(crate::check::Violation {
+                    invariant: "skip-not-exact",
+                    detail: format!("slot {slot}: kept rate {got}, a reallocation gives {want}"),
+                });
+            }
+        }
+        crate::check::enforce(&format!("skipped reallocation @ t={}", self.now), &violations);
+    }
+
     /// Advance all running flows' byte counters from `self.now` to `t`.
     fn advance_to(&mut self, t: SimTime) {
         let dt = t.since(self.now);
@@ -665,8 +751,9 @@ impl Simulator {
             );
         }
         if dt > 0.0 {
-            for f in self.flows.iter_mut().flatten() {
-                if f.state == FlowState::Running && f.rate > 0.0 {
+            for &slot in &self.running {
+                let f = self.flows[slot].as_mut().expect("running slot");
+                if f.rate > 0.0 {
                     let step = (f.rate * dt).min(f.remaining);
                     f.remaining -= step;
                     f.moved += step;
@@ -679,8 +766,9 @@ impl Simulator {
     /// Earliest projected completion among running flows.
     fn next_completion(&self) -> Option<SimTime> {
         let mut best: Option<f64> = None;
-        for f in self.flows.iter().flatten() {
-            if f.state == FlowState::Running && f.rate > 0.0 {
+        for &slot in &self.running {
+            let f = self.flows[slot].as_ref().expect("running slot");
+            if f.rate > 0.0 {
                 let t = self.now.as_secs() + f.remaining / f.rate;
                 best = Some(best.map_or(t, |b: f64| b.min(t)));
             }
@@ -698,44 +786,46 @@ impl Simulator {
     fn harvest_completions(&mut self) {
         let _span = wdt_obs::span_at_detail("sim.harvest_completions", self.sim_us());
         let before = self.completed;
-        for slot in 0..self.flows.len() {
-            let done = matches!(
-                &self.flows[slot],
-                Some(f) if f.state == FlowState::Running && f.remaining <= 0.5
-            );
-            if done {
-                // Completion only happens from Running, so both the stream
-                // and process censuses hold this flow's contribution.
-                self.census_streams(slot, -1);
-                let f = self.flows[slot].take().expect("checked above");
-                if crate::check::enabled() {
-                    // Byte conservation: the independently accumulated
-                    // `moved` counter must account for the whole request
-                    // (up to the 0.5-byte completion threshold).
-                    self.stats.invariant_checks += 1;
-                    let bytes = f.req.bytes.as_f64();
-                    let slack = 0.5 + 1e-9 * bytes;
-                    if (f.moved - bytes).abs() > slack {
-                        crate::check::enforce(
-                            &format!("completion of transfer {} @ t={}", f.req.id.0, self.now),
-                            &[crate::check::Violation {
-                                invariant: "bytes-not-conserved",
-                                detail: format!(
-                                    "moved {} of {bytes} requested bytes (remaining {})",
-                                    f.moved, f.remaining
-                                ),
-                            }],
-                        );
-                    }
+        let mut finished = std::mem::take(&mut self.finished);
+        finished.extend(
+            self.running
+                .iter()
+                .copied()
+                .filter(|&s| self.flows[s].as_ref().expect("running slot").remaining <= 0.5),
+        );
+        for &slot in &finished {
+            // Completion only happens from Running, so both the stream
+            // and process censuses hold this flow's contribution.
+            self.census_streams(slot, -1);
+            let f = self.flows[slot].take().expect("checked above");
+            if crate::check::enabled() {
+                // Byte conservation: the independently accumulated
+                // `moved` counter must account for the whole request
+                // (up to the 0.5-byte completion threshold).
+                self.stats.invariant_checks += 1;
+                let bytes = f.req.bytes.as_f64();
+                let slack = 0.5 + 1e-9 * bytes;
+                if (f.moved - bytes).abs() > slack {
+                    crate::check::enforce(
+                        &format!("completion of transfer {} @ t={}", f.req.id.0, self.now),
+                        &[crate::check::Violation {
+                            invariant: "bytes-not-conserved",
+                            detail: format!(
+                                "moved {} of {bytes} requested bytes (remaining {})",
+                                f.moved, f.remaining
+                            ),
+                        }],
+                    );
                 }
-                self.census_procs(&f.req, -1);
-                self.free_slots.push(slot);
-                self.release_slots(&f.req);
-                self.records
-                    .push(TransferRecord::from_request(&f.req, f.start, self.now, f.faults));
-                self.completed += 1;
             }
+            self.census_procs(&f.req, -1);
+            self.free_slots.push(slot);
+            self.release_slots(&f.req);
+            self.records.push(TransferRecord::from_request(&f.req, f.start, self.now, f.faults));
+            self.completed += 1;
         }
+        finished.clear();
+        self.finished = finished;
         // Slot counts fall only in `release_slots`, so without a
         // completion nothing queued can start.
         if self.completed != before {
@@ -746,10 +836,11 @@ impl Simulator {
     /// Utilization proxy used to modulate the fault intensity: how squeezed
     /// the flow is relative to its private ceiling.
     fn squeeze(&self, f: &ActiveFlow) -> f64 {
-        if f.cap <= 0.0 {
+        let cap = f.demand.cap;
+        if cap <= 0.0 {
             return 1.0;
         }
-        (1.0 - f.rate / f.cap).clamp(0.0, 1.0)
+        (1.0 - f.rate / cap).clamp(0.0, 1.0)
     }
 
     fn schedule_fault_candidate(&mut self, slot: usize) {
@@ -838,7 +929,7 @@ impl Simulator {
             _ => 0.0,
         };
         let overhead = self.cfg.startup_s * self.rng.gen_range(0.8..1.2) + meta;
-        let mut flow = ActiveFlow {
+        let flow = ActiveFlow {
             start: self.now,
             remaining: req.bytes.as_f64(),
             rate: 0.0,
@@ -846,12 +937,10 @@ impl Simulator {
             state: FlowState::Overhead,
             fault_gen: 0,
             moved: 0.0,
-            jitter,
-            cap: 0.0,
+            demand: self.flow_demand(&req, mode, jitter),
             req,
             mode,
         };
-        flow.cap = self.flow_cap(&flow);
         self.census_procs(&flow.req, 1);
         let slot = match self.free_slots.pop() {
             Some(s) => {
@@ -866,10 +955,15 @@ impl Simulator {
         self.events.schedule(self.now + overhead, EventKind::DataPhaseStart(slot));
     }
 
-    /// True if any live flow engages `ep` (so a capacity change there
-    /// affects the allocation).
-    fn endpoint_in_use(&self, ep: EndpointId) -> bool {
-        self.flows.iter().flatten().any(|f| f.req.src == ep || f.req.dst == ep)
+    /// The skip rule, for an event that changed the capacity entries
+    /// `resources`: reallocate only if a running flow draws on one of them.
+    /// The allocator reads no other entry and the running flows' demands
+    /// are as the last reallocation left them, so otherwise it would
+    /// return the current rates bit for bit.
+    fn capacity_changed(&mut self, resources: &[usize]) -> bool {
+        let needed = resources.iter().any(|&r| self.running_users[r] > 0);
+        self.skipped |= !needed;
+        needed
     }
 
     /// Process one event. Returns true if flow rates must be recomputed.
@@ -882,9 +976,12 @@ impl Simulator {
             EventKind::Arrival(idx) => {
                 let (req, mode) = arrivals[idx].clone();
                 if self.has_slots(&req) {
+                    let cpus = [res_idx(req.src, R_CPU), res_idx(req.dst, R_CPU)];
                     self.claim_slots(&req);
+                    // Occupies processes immediately: the CPU census, and
+                    // so the CPU capacity, changes at both ends.
                     self.start_flow(req, mode);
-                    true // occupies processes immediately (CPU census changes)
+                    self.capacity_changed(&cpus)
                 } else {
                     self.waiting.push_back((req, mode));
                     self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.waiting.len());
@@ -940,13 +1037,11 @@ impl Simulator {
             EventKind::BgToggle(idx) => {
                 let delay = self.background[idx].toggle(&mut self.rng);
                 self.events.schedule(self.now + delay, EventKind::BgToggle(idx));
-                let ep = self.background[idx].endpoint;
+                let (ep, kind) = (self.background[idx].endpoint, self.background[idx].kind);
                 // The endpoint's capacities are stale either way; recompute
                 // them lazily at the next reallocation.
                 self.mark_dirty(ep);
-                // Only forces a reallocation *now* if someone is actually
-                // using the endpoint.
-                self.endpoint_in_use(ep)
+                self.capacity_changed(&[res_idx(ep, bg_res(kind))])
             }
             EventKind::LmtSample => {
                 self.take_lmt_sample();
@@ -972,10 +1067,10 @@ impl Simulator {
                     f64::from(ep.0),
                     Some(self.sim_us()),
                 );
-                // Reallocate now only if a live flow touches the endpoint;
-                // otherwise the lazy refresh at the next reallocation is
-                // enough.
-                self.endpoint_in_use(ep)
+                // Any of the endpoint's factors may have changed; the lazy
+                // refresh at the next reallocation covers the rest.
+                let all: [usize; RES_PER_EP] = std::array::from_fn(|kind| res_idx(ep, kind));
+                self.capacity_changed(&all)
             }
         }
     }
@@ -986,14 +1081,12 @@ impl Simulator {
         for &ep in &monitor.endpoints {
             let mut read = 0.0;
             let mut write = 0.0;
-            for f in self.flows.iter().flatten() {
-                if f.state != FlowState::Running {
-                    continue;
-                }
-                if f.reads_disk() && f.req.src == ep {
+            for &slot in &self.running {
+                let f = self.flows[slot].as_ref().expect("running slot");
+                if f.mode.reads_disk() && f.req.src == ep {
                     read += f.rate;
                 }
-                if f.writes_disk() && f.req.dst == ep {
+                if f.mode.writes_disk() && f.req.dst == ep {
                     write += f.rate;
                 }
             }
@@ -1110,8 +1203,12 @@ impl Simulator {
                 let _span = wdt_obs::span_at_detail(event_span_name(&kind), self.sim_us());
                 dirty |= self.handle_event(kind, &mut arrivals);
             }
+            let skipped = std::mem::take(&mut self.skipped);
             if dirty {
                 self.reallocate();
+            } else if skipped && crate::check::enabled() {
+                let _span = wdt_obs::span_at("sim.invariant_checks", self.sim_us());
+                self.verify_skip();
             }
         }
 
@@ -1154,6 +1251,18 @@ mod tests {
             StorageSystem::facility(Rate::gbit(12.0), Rate::gbit(9.0)),
         ));
         cat
+    }
+
+    /// [`two_endpoints`] with CPUs weak enough to bind a transfer.
+    fn weak_cpus() -> EndpointCatalog {
+        let mut weak = EndpointCatalog::new();
+        for ep in two_endpoints().iter() {
+            let mut e = ep.clone();
+            e.cores_per_dtn = 2;
+            e.core_bw = Rate::mbps(120.0);
+            weak.push(e);
+        }
+        weak
     }
 
     fn req(id: u64, submit: f64, gb: f64, files: u64, c: u32, p: u32) -> TransferRequest {
@@ -1313,6 +1422,48 @@ mod tests {
     }
 
     #[test]
+    fn capacity_changes_no_running_flow_draws_on_skip_reallocation() {
+        // A fast-toggling background process at the destination of one
+        // disk-to-disk transfer, which writes there but never reads.
+        let run = |kind: BgKind| {
+            let mut sim = Simulator::new(two_endpoints(), SimConfig::testbed(), &SeedSeq::new(3));
+            sim.add_background(BackgroundProcess {
+                endpoint: EndpointId(1),
+                kind,
+                rate_when_on: Rate::gbit(2.0),
+                mean_on_s: 0.5,
+                mean_off_s: 0.5,
+                on: false,
+            });
+            sim.submit(req(0, 0.0, 50.0, 50, 4, 4));
+            sim.run()
+        };
+        // Its disk reads change no capacity the transfer draws on, and the
+        // arrival finds no running flow: only the data-phase start and the
+        // completion reallocate.
+        let idle = run(BgKind::DiskRead);
+        assert!(idle.stats.events > 50, "too few toggles: {}", idle.stats.events);
+        assert_eq!(idle.stats.reallocations, 2);
+        // Its disk writes do: each toggle under the running flow reallocates.
+        let busy = run(BgKind::DiskWrite);
+        assert!(busy.stats.reallocations > 20, "{}", busy.stats.reallocations);
+    }
+
+    #[test]
+    fn arrival_under_a_cpu_bound_flow_reallocates() {
+        // Weak CPUs bind the first transfer; the second one's processes
+        // shrink CPU capacity at both ends the moment it arrives, before
+        // its data phase starts.
+        let mut sim = Simulator::new(weak_cpus(), SimConfig::testbed(), &SeedSeq::new(4));
+        sim.submit(req(0, 0.0, 20.0, 20, 4, 4));
+        sim.submit(req(1, 30.0, 1.0, 20, 4, 4));
+        let out = sim.run();
+        // First arrival (nothing running: skipped), two data-phase starts,
+        // the second arrival and two completions.
+        assert_eq!(out.stats.reallocations, 5);
+    }
+
+    #[test]
     fn faults_recorded_when_enabled() {
         let cfg = SimConfig { fault_rate_max: 0.05, ..SimConfig::default() }; // cranked so the test is fast
         let mut sim = Simulator::new(two_endpoints(), cfg, &SeedSeq::new(5));
@@ -1329,24 +1480,15 @@ mod tests {
     fn skipping_checksums_helps_cpu_bound_transfers() {
         // Starve the CPU so it binds; a non-checksummed transfer consumes
         // half the CPU per byte and should finish measurably faster.
-        let cat = two_endpoints();
-        let run_with = |checksum: bool, cat: &EndpointCatalog| {
-            let mut sim = Simulator::new(cat.clone(), SimConfig::testbed(), &SeedSeq::new(4));
+        let run_with = |checksum: bool| {
+            let mut sim = Simulator::new(weak_cpus(), SimConfig::testbed(), &SeedSeq::new(4));
             let mut r = req(0, 0.0, 50.0, 50, 4, 4);
             r.checksum = checksum;
             sim.submit(r);
             sim.run().records[0].rate().as_f64()
         };
-        // Rebuild endpoints with weak CPUs.
-        let mut weak = EndpointCatalog::new();
-        for ep in cat.iter() {
-            let mut e = ep.clone();
-            e.cores_per_dtn = 2;
-            e.core_bw = Rate::mbps(120.0);
-            weak.push(e);
-        }
-        let with = run_with(true, &weak);
-        let without = run_with(false, &weak);
+        let with = run_with(true);
+        let without = run_with(false);
         assert!(
             without > with * 1.3,
             "no-checksum {without} should beat checksummed {with} when CPU-bound"

@@ -12,10 +12,11 @@
 //! ## Fluid-flow discrete-event core
 //!
 //! Transfers are fluid flows. Between events, every active flow moves data
-//! at a constant rate; at every event (arrival, completion, background-load
-//! transition, fault, monitor sample) the rates of *all* flows are
-//! recomputed by weighted progressive filling (max–min fairness) across the
-//! resources they share:
+//! at a constant rate; at every event that can change a rate (a flow
+//! starting or finishing its data phase, a fault, or a capacity change a
+//! running flow draws on) the rates of *all* running flows are recomputed
+//! by weighted progressive filling (max–min fairness) across the resources
+//! they share:
 //!
 //! * source storage read bandwidth and destination storage write bandwidth
 //!   (with I/O-concurrency contention curves),

@@ -125,6 +125,11 @@ pub fn parse_csv_line(line: &str, line_no: usize) -> Result<TransferRecord, CsvE
     if bytes.is_nan() || bytes < 0.0 || !bytes.is_finite() {
         return Err(CsvError::BadField { line: line_no, column: "bytes" });
     }
+    // Moving bytes takes time: a zero-duration record would have a rate of
+    // 0 (see `TransferRecord::rate`) and train as a real target.
+    if end == start && bytes > 0.0 {
+        return Err(CsvError::BadField { line: line_no, column: "end" });
+    }
     Ok(TransferRecord {
         id: TransferId(p(fields[0], line_no, "id")?),
         src: EndpointId(p(fields[1], line_no, "src")?),
@@ -354,6 +359,25 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn rejects_zero_duration_with_bytes() {
+        // The bad record sits on line 3, after one good record; both
+        // parsers must name the line and the `end` column.
+        let csv = format!("{CSV_HEADER}\n0,2,3,0,10,100,1,1,1,1,0\n1,2,3,10,10,100,1,1,1,1,0\n");
+        let want = CsvError::BadField { line: 3, column: "end" };
+        assert_eq!(records_from_csv(&csv), Err(want.clone()));
+        let streamed: Vec<_> = CsvReader::new(csv.as_bytes()).collect();
+        assert_eq!(streamed.len(), 2, "stream must stop at the error");
+        assert!(streamed[0].is_ok());
+        match &streamed[1] {
+            Err(CsvStreamError::Parse(e)) => assert_eq!(e, &want),
+            other => panic!("{other:?}"),
+        }
+        // An empty transfer takes no time and stays valid.
+        let empty = format!("{CSV_HEADER}\n1,2,3,10,10,0,1,1,1,1,0\n");
+        assert_eq!(records_from_csv(&empty).expect("parse").len(), 1);
     }
 
     #[test]
