@@ -1,8 +1,11 @@
 //! Feature quantization for histogram-based tree training.
 //!
 //! Each feature column is quantile-binned **once per `Gbdt::fit`** into a
-//! column-major `u16` code matrix (the XGBoost "approx"/LightGBM design).
-//! The tree builder then works entirely on codes: per-node
+//! row-major `u16` code matrix (the XGBoost "approx"/LightGBM design):
+//! the codes of one row sit next to each other, so a node's histogram
+//! fill reads each of its rows once and adds it to every feature's
+//! histogram, and the partition reads one code per row from the same
+//! buffer. The tree builder works entirely on codes: per-node
 //! gradient/Hessian histograms over ≤ `max_bins` bins replace the exact
 //! trainer's per-node re-sort, turning split search from
 //! O(rows · features) re-partitioning with allocations into O(rows)
@@ -14,16 +17,14 @@
 //! every distinct value has its own bin this is *exactly* the midpoint
 //! the exact greedy trainer would pick, which is what makes
 //! exact-vs-histogram parity testable tree-for-tree (see the property
-//! tests in `tree.rs`).
+//! tests in `proptests.rs`).
 //!
 //! Columns are binned one after another on the calling thread: a column
 //! of a few hundred rows takes microseconds, far less than a thread spawn.
 
-/// Per-feature quantized column: codes plus per-bin value ranges.
+/// Per-feature bin value ranges.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BinnedColumn {
-    /// Bin code of every row (`< n_bins`).
-    pub codes: Vec<u16>,
     /// Smallest raw value observed in each bin (`+inf` if empty).
     pub lower: Vec<f64>,
     /// Largest raw value observed in each bin (`-inf` if empty).
@@ -37,23 +38,27 @@ impl BinnedColumn {
     }
 }
 
-/// A column-major quantized view of a row-major feature matrix.
+/// A quantized view of a row-major feature matrix: row-major bin codes
+/// plus each feature's bin value ranges.
 ///
 /// Built once per model fit; immutable afterwards, so every boosting
 /// round shares it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BinnedMatrix {
     n_rows: usize,
+    /// `codes[i * n_features + f]` is row `i`'s bin in feature `f`.
+    codes: Vec<u16>,
     columns: Vec<BinnedColumn>,
 }
 
-/// Quantize one feature column into at most `max_bins` bins.
+/// Quantize one feature column into at most `max_bins` bins, returning
+/// the column's bin ranges and the code of every value.
 ///
 /// If the column has ≤ `max_bins` distinct values, every distinct value
 /// gets its own bin (the lossless regime the parity tests rely on).
 /// Otherwise cut points are taken at evenly spaced quantiles of the
 /// value distribution, so bins hold roughly equal sample counts.
-fn bin_column(values: &[f64], max_bins: usize) -> BinnedColumn {
+fn bin_column(values: &[f64], max_bins: usize) -> (BinnedColumn, Vec<u16>) {
     let n = values.len();
     let mut sorted = values.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite features"));
@@ -72,18 +77,16 @@ fn bin_column(values: &[f64], max_bins: usize) -> BinnedColumn {
     };
 
     let n_bins = cuts.len() + 1;
-    let mut col = BinnedColumn {
-        codes: Vec::with_capacity(n),
-        lower: vec![f64::INFINITY; n_bins],
-        upper: vec![f64::NEG_INFINITY; n_bins],
-    };
+    let mut col =
+        BinnedColumn { lower: vec![f64::INFINITY; n_bins], upper: vec![f64::NEG_INFINITY; n_bins] };
+    let mut codes = Vec::with_capacity(n);
     for &v in values {
         let code = cuts.partition_point(|&c| c < v);
-        col.codes.push(code as u16);
+        codes.push(code as u16);
         col.lower[code] = col.lower[code].min(v);
         col.upper[code] = col.upper[code].max(v);
     }
-    col
+    (col, codes)
 }
 
 impl BinnedMatrix {
@@ -94,13 +97,18 @@ impl BinnedMatrix {
         assert!((2..=1 << 16).contains(&max_bins), "max_bins must be in 2..=65536");
         let n_rows = x.len();
         let n_features = x.first().map_or(0, |r| r.len());
+        let mut codes = vec![0u16; n_rows * n_features];
         let columns: Vec<BinnedColumn> = (0..n_features)
             .map(|f| {
                 let values: Vec<f64> = x.iter().map(|row| row[f]).collect();
-                bin_column(&values, max_bins)
+                let (col, col_codes) = bin_column(&values, max_bins);
+                for (i, c) in col_codes.into_iter().enumerate() {
+                    codes[i * n_features + f] = c;
+                }
+                col
             })
             .collect();
-        BinnedMatrix { n_rows, columns }
+        BinnedMatrix { n_rows, codes, columns }
     }
 
     /// Number of rows quantized.
@@ -113,9 +121,20 @@ impl BinnedMatrix {
         self.columns.len()
     }
 
-    /// The quantized column of feature `f`.
+    /// The bin ranges of feature `f`.
     pub fn column(&self, f: usize) -> &BinnedColumn {
         &self.columns[f]
+    }
+
+    /// The bin codes of row `i`, one per feature.
+    pub(crate) fn row(&self, i: usize) -> &[u16] {
+        let nf = self.columns.len();
+        &self.codes[i * nf..(i + 1) * nf]
+    }
+
+    /// The whole row-major code matrix (`n_rows × n_features`).
+    pub(crate) fn codes(&self) -> &[u16] {
+        &self.codes
     }
 
     /// Largest per-feature bin count (histogram buffer sizing).
@@ -128,8 +147,22 @@ impl BinnedMatrix {
 mod tests {
     use super::*;
 
-    fn col(values: &[f64], max_bins: usize) -> BinnedColumn {
-        bin_column(values, max_bins)
+    /// One column's bin ranges, with its codes.
+    struct Col {
+        codes: Vec<u16>,
+        lower: Vec<f64>,
+        upper: Vec<f64>,
+    }
+
+    impl Col {
+        fn n_bins(&self) -> usize {
+            self.lower.len()
+        }
+    }
+
+    fn col(values: &[f64], max_bins: usize) -> Col {
+        let (c, codes) = bin_column(values, max_bins);
+        Col { codes, lower: c.lower, upper: c.upper }
     }
 
     #[test]
@@ -211,7 +244,7 @@ mod tests {
     }
 
     #[test]
-    fn matrix_build_is_column_major_and_parallel_safe() {
+    fn matrix_build_is_row_major_and_reproducible() {
         let x: Vec<Vec<f64>> =
             (0..500).map(|i| vec![(i % 7) as f64, i as f64, ((i * 13) % 101) as f64]).collect();
         let m = BinnedMatrix::build(&x, 64);
@@ -220,6 +253,15 @@ mod tests {
         assert_eq!(m.column(0).n_bins(), 7);
         assert!(m.column(1).n_bins() <= 64);
         assert_eq!(m.max_n_bins(), m.column(1).n_bins().max(m.column(2).n_bins()).max(7));
+        // Row i's codes are its features' codes, in feature order.
+        for f in 0..3 {
+            let values: Vec<f64> = x.iter().map(|r| r[f]).collect();
+            let codes = col(&values, 64).codes;
+            for (i, &code) in codes.iter().enumerate() {
+                assert_eq!(m.row(i)[f], code);
+                assert_eq!(m.codes()[i * 3 + f], code);
+            }
+        }
         // Rebuilding yields the identical quantization.
         assert_eq!(m, BinnedMatrix::build(&x, 64));
     }

@@ -8,7 +8,12 @@
 //!
 //! Training defaults to the histogram engine: features are quantile-binned
 //! once per fit ([`BinnedMatrix`], `max_bins` bins per feature) and every
-//! round trains on the binned view — the XGBoost/LightGBM design. Set
+//! round trains on the binned view — the XGBoost/LightGBM design — reusing
+//! one set of buffers. After each round the training rows take their new
+//! predictions from the leaves' row ranges in the tree's partition, and
+//! only rows outside the subsample walk the tree, unless a split's
+//! threshold could route a row by value differently from its bin code;
+//! then every row walks. Either way the predictions are bit-identical. Set
 //! [`GbdtParams::split`] to [`SplitStrategy::Exact`] to fall back to exact
 //! greedy search (reference/parity path). A fit runs on the calling
 //! thread; parallelism lives at the coarse sites that run many fits
@@ -16,7 +21,7 @@
 //! here depends on `WDT_THREADS`.
 
 use crate::binning::BinnedMatrix;
-use crate::tree::{Node, RegressionTree, SplitStrategy, TreeParams};
+use crate::tree::{Node, RegressionTree, SplitStrategy, TreeParams, TreeWorkspace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wdt_types::json::{JsonError, JsonValue};
@@ -90,45 +95,59 @@ impl Gbdt {
         }
         assert!(params.subsample > 0.0 && params.subsample <= 1.0, "subsample in (0,1]");
 
-        // Quantile-bin the features once; every round trains on the view.
+        // Quantile-bin the features once; every round trains on the view
+        // and reuses one workspace.
         let t_bin = crate::fitmetrics::phase_start();
         let binned = match params.split {
             SplitStrategy::Histogram => Some(BinnedMatrix::build(x, params.max_bins)),
             SplitStrategy::Exact => None,
         };
         crate::fitmetrics::phase_end(t_bin, crate::fitmetrics::binning());
+        let mut binned = binned.map(|b| {
+            let ws = TreeWorkspace::new(&b);
+            (b, ws)
+        });
         let mut rng = StdRng::seed_from_u64(params.seed);
         let mut preds = vec![base_score; n];
         let mut g = vec![0.0; n];
         let h = vec![1.0; n];
+        let mut sample: Vec<usize> = (0..n).collect();
         for _ in 0..params.n_rounds {
             for i in 0..n {
                 g[i] = preds[i] - y[i];
             }
-            let indices: Vec<usize> = if params.subsample < 1.0 {
-                (0..n).filter(|_| rng.gen_range(0.0..1.0) < params.subsample).collect()
-            } else {
-                (0..n).collect()
-            };
-            if indices.is_empty() {
+            if params.subsample < 1.0 {
+                sample.clear();
+                sample.extend((0..n).filter(|_| rng.gen_range(0.0..1.0) < params.subsample));
+            }
+            if sample.is_empty() {
                 continue;
             }
-            let tree = match &binned {
-                Some(b) => RegressionTree::fit_binned(
-                    b,
-                    &g,
-                    &h,
-                    &indices,
-                    params.tree,
-                    &mut model.importance,
-                ),
+            let tree = match &mut binned {
+                Some((b, ws)) => {
+                    let tree = RegressionTree::fit_binned_in(
+                        ws,
+                        b,
+                        &g,
+                        &h,
+                        &sample,
+                        params.tree,
+                        &mut model.importance,
+                    );
+                    if ws.separates() {
+                        refresh_from_leaves(&mut preds, x, &tree, ws, &sample, params.eta);
+                    } else {
+                        refresh_by_walk(&mut preds, x, &tree, 0..n, params.eta);
+                    }
+                    tree
+                }
                 None => {
-                    RegressionTree::fit(x, &g, &h, &indices, params.tree, &mut model.importance)
+                    let tree =
+                        RegressionTree::fit(x, &g, &h, &sample, params.tree, &mut model.importance);
+                    refresh_by_walk(&mut preds, x, &tree, 0..n, params.eta);
+                    tree
                 }
             };
-            for (p, row) in preds.iter_mut().zip(x) {
-                *p += params.eta * tree.predict_one(row);
-            }
             model.trees.push(tree);
             let mse = preds.iter().zip(y).map(|(p, t)| (p - t).powi(2)).sum::<f64>() / n as f64;
             model.train_loss.push(mse);
@@ -217,6 +236,12 @@ impl Gbdt {
         &self.trees
     }
 
+    /// Summed split gains per feature, before normalization.
+    #[cfg(test)]
+    pub(crate) fn raw_importance(&self) -> &[f64] {
+        &self.importance
+    }
+
     /// Persistable representation (see `wdt_types::json`).
     pub fn to_json_value(&self) -> JsonValue {
         JsonValue::obj([
@@ -245,6 +270,46 @@ impl Gbdt {
             importance: v.field("importance")?.as_f64_vec()?,
             train_loss: v.field("train_loss")?.as_f64_vec()?,
         })
+    }
+}
+
+/// Add `eta ×` the tree's prediction to `preds[i]` for every row in
+/// `rows`, walking the tree by value.
+fn refresh_by_walk(
+    preds: &mut [f64],
+    x: &[Vec<f64>],
+    tree: &RegressionTree,
+    rows: std::ops::Range<usize>,
+    eta: f64,
+) {
+    for i in rows {
+        preds[i] += eta * tree.predict_one(&x[i]);
+    }
+}
+
+/// The same update as [`refresh_by_walk`] over all rows, bit for bit,
+/// for a tree whose every split separates its rows by value as by code
+/// ([`TreeWorkspace::separates`]): each training row takes the value of
+/// the leaf whose row range holds it, and only the rows outside the
+/// ascending `sample` walk the tree.
+fn refresh_from_leaves(
+    preds: &mut [f64],
+    x: &[Vec<f64>],
+    tree: &RegressionTree,
+    ws: &TreeWorkspace,
+    sample: &[usize],
+    eta: f64,
+) {
+    for (rows, value) in ws.leaf_rows() {
+        let step = eta * value;
+        for &i in rows {
+            preds[i] += step;
+        }
+    }
+    let mut next = 0;
+    for &s in sample.iter().chain(&[preds.len()]) {
+        refresh_by_walk(preds, x, tree, next..s, eta);
+        next = s + 1;
     }
 }
 

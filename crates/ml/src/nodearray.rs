@@ -17,8 +17,8 @@
 //! block-wise — a block of rows walks one tree before the next tree is
 //! touched, so each tree's nodes are loaded into cache once per block
 //! instead of once per row. Prediction runs on the calling thread: the
-//! serving batcher's workers and `run_per_edge`'s edges run concurrently,
-//! but `wdt predict` scores a whole log on one thread.
+//! serving batcher's workers, `run_per_edge`'s edges and `wdt predict`'s
+//! chunks of the log run concurrently.
 //!
 //! **Parity contract:** every comparison (`value > threshold` ⇔ the
 //! training-side `value ≤ threshold` goes left), every leaf value, and

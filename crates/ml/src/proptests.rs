@@ -12,13 +12,19 @@
 //! bitmaps: it zeroes, subtracts and scans every bin of every node. With
 //! float gradients, where rounding residuals do arise, the bitmap trainer
 //! must grow bit-for-bit the same trees.
+//!
+//! A third, [`boost_twin`], is the boosting loop without the per-fit
+//! workspace: every tree grown by the dense trainer and every row's
+//! prediction refreshed by walking the tree by value. `Gbdt::fit`, which
+//! refreshes training rows from the leaves' row ranges, must fit
+//! bit-for-bit the same model.
 
 #![cfg(test)]
 
 use crate::binning::BinnedMatrix;
 use crate::gbdt::{Gbdt, GbdtParams};
 use crate::nodearray::NodeArrayForest;
-use crate::tree::{Node, RegressionTree, SplitStrategy, TreeParams};
+use crate::tree::{Node, RegressionTree, SplitStrategy, TreeParams, TreeWorkspace};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -49,10 +55,9 @@ mod dense {
     fn fill(binned: &BinnedMatrix, g: &[f64], h: &[f64], idx: &[usize]) -> Vec<Vec<HistBin>> {
         (0..binned.n_features())
             .map(|f| {
-                let col = binned.column(f);
-                let mut bins = vec![HistBin::default(); col.n_bins()];
+                let mut bins = vec![HistBin::default(); binned.column(f).n_bins()];
                 for &i in idx {
-                    let b = &mut bins[col.codes[i] as usize];
+                    let b = &mut bins[binned.row(i)[f] as usize];
                     b.g += g[i];
                     b.h += h[i];
                     b.n += 1;
@@ -148,9 +153,9 @@ mod dense {
                 return self.nodes.len() - 1;
             };
             self.importance[c.feature] += c.gain;
-            let codes = &self.binned.column(c.feature).codes;
+            let binned = self.binned;
             let (left, right): (Vec<usize>, Vec<usize>) =
-                idx.iter().partition(|&&i| codes[i] <= c.bin);
+                idx.iter().partition(|&&i| binned.row(i)[c.feature] <= c.bin);
             let (left_hist, right_hist) = if left.len() <= right.len() {
                 let small = fill(self.binned, self.g, self.h, &left);
                 subtract(&mut hist, &small);
@@ -199,6 +204,160 @@ mod dense {
         grower.grow(indices.to_vec(), hist, g_sum, h_sum, 0);
         grower.nodes
     }
+}
+
+/// The boosting loop without the per-fit workspace: per-node histograms
+/// (the dense trainer), column-at-a-time fill, a branchy partition, and a
+/// refresh that walks every row through every tree.
+mod boost_twin {
+    use super::dense;
+    use crate::binning::BinnedMatrix;
+    use crate::gbdt::GbdtParams;
+    use crate::tree::Node;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A fitted model's parts, as `Gbdt` holds them.
+    pub(super) struct Fit {
+        pub base_score: f64,
+        pub trees: Vec<Vec<Node>>,
+        pub importance: Vec<f64>,
+        pub train_loss: Vec<f64>,
+    }
+
+    fn walk(nodes: &[Node], row: &[f64]) -> f64 {
+        let mut i = 0;
+        loop {
+            match nodes[i] {
+                Node::Leaf { value } => return value,
+                Node::Split { feature, threshold, left, right, .. } => {
+                    i = if row[feature] <= threshold { left } else { right };
+                }
+            }
+        }
+    }
+
+    pub(super) fn fit(x: &[Vec<f64>], y: &[f64], params: &GbdtParams) -> Fit {
+        let n = x.len();
+        let base_score = y.iter().sum::<f64>() / n as f64;
+        let binned = BinnedMatrix::build(x, params.max_bins);
+        let mut rng = StdRng::seed_from_u64(params.seed);
+        let mut fit = Fit {
+            base_score,
+            trees: Vec::new(),
+            importance: vec![0.0; x[0].len()],
+            train_loss: Vec::new(),
+        };
+        let mut preds = vec![base_score; n];
+        let h = vec![1.0; n];
+        for _ in 0..params.n_rounds {
+            let g: Vec<f64> = preds.iter().zip(y).map(|(p, t)| p - t).collect();
+            let indices: Vec<usize> = if params.subsample < 1.0 {
+                (0..n).filter(|_| rng.gen_range(0.0..1.0) < params.subsample).collect()
+            } else {
+                (0..n).collect()
+            };
+            if indices.is_empty() {
+                continue;
+            }
+            let nodes = dense::fit(&binned, &g, &h, &indices, params.tree, &mut fit.importance);
+            for (p, row) in preds.iter_mut().zip(x) {
+                *p += params.eta * walk(&nodes, row);
+            }
+            fit.trees.push(nodes);
+            let mse = preds.iter().zip(y).map(|(p, t)| (p - t).powi(2)).sum::<f64>() / n as f64;
+            fit.train_loss.push(mse);
+        }
+        fit
+    }
+}
+
+/// Assert that `Gbdt::fit` and [`boost_twin::fit`] fit the same model,
+/// every float compared by its bits.
+fn assert_fits_like_twin(x: &[Vec<f64>], y: &[f64], params: &GbdtParams) {
+    let model = Gbdt::fit(x, y, params);
+    let twin = boost_twin::fit(x, y, params);
+    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    prop_assert_eq!(model.base_score().to_bits(), twin.base_score.to_bits());
+    let trees: Vec<_> = model.trees().iter().map(|t| node_bits(t.nodes())).collect();
+    let twin_trees: Vec<_> = twin.trees.iter().map(|t| node_bits(t)).collect();
+    prop_assert_eq!(trees, twin_trees);
+    prop_assert_eq!(bits(model.raw_importance()), bits(&twin.importance));
+    prop_assert_eq!(bits(&model.train_loss), bits(&twin.train_loss));
+}
+
+/// A feature value for code `k` of a column of `kind`: 0 spaces values
+/// 0.37 apart; 1 and 2 make neighbouring codes adjacent floats (near 1,
+/// and subnormals near 0, like a load feature's rounding residue), where
+/// a split's midpoint can round onto the upper neighbour.
+fn column_value(kind: u8, k: u32) -> f64 {
+    match kind {
+        0 => f64::from(k) * 0.37,
+        1 => 1.0 + f64::from(k) * f64::EPSILON,
+        _ => f64::from_bits(u64::from(k)),
+    }
+}
+
+#[derive(Debug, Clone)]
+struct BoostCase {
+    x: Vec<Vec<f64>>,
+    y: Vec<f64>,
+    params: GbdtParams,
+}
+
+/// Boosted fits of up to 7 rounds over up to 120 rows, with columns of
+/// adjacent floats among them, subsampled or not, binned losslessly or
+/// through forced quantiles.
+fn arb_boost_case() -> impl Strategy<Value = BoostCase> {
+    let max_bins = prop_oneof![Just(256usize), 2usize..17];
+    (2usize..121, 1usize..5, 2u32..40, max_bins).prop_flat_map(|(n, f, v, max_bins)| {
+        (
+            vec(vec(0u32..v, f), n),
+            vec(0u8..3, f),
+            vec(-10.0f64..10.0, n),
+            1usize..8,
+            1usize..=5,
+            prop_oneof![Just(1.0), Just(0.8), Just(0.5)],
+            prop_oneof![Just(0.0), Just(0.5), Just(1.0)],
+            prop_oneof![Just(0.0), Just(0.05)],
+            0u64..u64::MAX,
+        )
+            .prop_map(
+                move |(
+                    rows,
+                    kinds,
+                    y,
+                    n_rounds,
+                    max_depth,
+                    subsample,
+                    min_child_weight,
+                    gamma,
+                    seed,
+                )| {
+                    BoostCase {
+                        x: rows
+                            .into_iter()
+                            .map(|r| {
+                                r.into_iter()
+                                    .zip(&kinds)
+                                    .map(|(k, &c)| column_value(c, k))
+                                    .collect()
+                            })
+                            .collect(),
+                        y,
+                        params: GbdtParams {
+                            n_rounds,
+                            eta: 0.3,
+                            subsample,
+                            tree: TreeParams { max_depth, min_child_weight, lambda: 1.0, gamma },
+                            seed,
+                            max_bins,
+                            split: SplitStrategy::Histogram,
+                        },
+                    }
+                },
+            )
+    })
 }
 
 /// Every field of every node, floats as bits.
@@ -288,8 +447,69 @@ fn arb_case() -> impl Strategy<Value = Case> {
     })
 }
 
+/// Two bins whose values are adjacent floats: `1 + ε` and `1 + 2ε`. The
+/// midpoint `(2 + 3ε) / 2` rounds onto `1 + 2ε`, so value routing sends
+/// the right bin's rows left.
+fn adjacent_float_step(lo: f64, hi: f64) -> (Vec<Vec<f64>>, Vec<f64>) {
+    let x: Vec<Vec<f64>> = (0..40).map(|i| vec![if i < 20 { lo } else { hi }]).collect();
+    let y: Vec<f64> = (0..40).map(|i| if i < 20 { 0.0 } else { 10.0 }).collect();
+    (x, y)
+}
+
+#[test]
+fn separation_test_flags_a_midpoint_rounded_onto_the_upper_bin() {
+    let eps = f64::EPSILON;
+    for (lo, hi, separates) in [(1.0 + eps, 1.0 + 2.0 * eps, false), (1.0, 1.0 + eps, true)] {
+        let (x, y) = adjacent_float_step(lo, hi);
+        let g: Vec<f64> = y.iter().map(|t| -t).collect();
+        let h = vec![1.0; x.len()];
+        let idx: Vec<usize> = (0..x.len()).collect();
+        let binned = BinnedMatrix::build(&x, 256);
+        let mut ws = TreeWorkspace::new(&binned);
+        let tree = RegressionTree::fit_binned_in(
+            &mut ws,
+            &binned,
+            &g,
+            &h,
+            &idx,
+            TreeParams::default(),
+            &mut [0.0],
+        );
+        let Node::Split { threshold, .. } = tree.nodes()[0] else { panic!("no split") };
+        assert_eq!(
+            threshold == hi,
+            !separates,
+            "threshold {threshold:e} between {lo:e} and {hi:e}"
+        );
+        assert_eq!(ws.separates(), separates);
+        // The leaves hold every row once, the right bin's rows on the right.
+        let mut rows: Vec<usize> = ws.leaf_rows().flat_map(|(r, _)| r.to_vec()).collect();
+        rows.sort_unstable();
+        assert_eq!(rows, idx);
+        let (right, value) = ws.leaf_rows().nth(1).expect("two leaves");
+        assert!(right.iter().all(|&i| i >= 20) && value > 0.0);
+        // Routing by value agrees with that exactly when the split separates.
+        assert_eq!(tree.predict_one(&[hi]) == value, separates);
+    }
+}
+
+#[test]
+fn boosting_loop_matches_its_twin_on_a_non_separating_split() {
+    let (x, y) = adjacent_float_step(1.0 + f64::EPSILON, 1.0 + 2.0 * f64::EPSILON);
+    for subsample in [1.0, 0.7] {
+        let params = GbdtParams { n_rounds: 5, subsample, ..GbdtParams::default() };
+        assert_fits_like_twin(&x, &y, &params);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn boosting_loop_fits_its_twins_model_bitwise(case in arb_boost_case()) {
+        let BoostCase { x, y, params } = case;
+        assert_fits_like_twin(&x, &y, &params);
+    }
 
     #[test]
     fn bitmap_histograms_grow_the_dense_trainers_trees_bitwise(case in arb_float_case()) {

@@ -16,11 +16,14 @@
 //! * [`RegressionTree::fit_binned`] — histogram search over a
 //!   [`BinnedMatrix`]: per-node gradient/Hessian histograms (child =
 //!   parent − sibling, so only the smaller child is ever accumulated),
-//!   each with an occupancy bitmap so fill, subtraction, scan and reuse
-//!   cost O(rows in the node × features + bins / 64) rather than
-//!   O(features × bins), and stable in-place partitioning of one reusable
-//!   index buffer. Single-threaded: callers parallelize across whole fits
-//!   (edges, folds, grid points). The production default
+//!   all features' histograms in one flat set with an occupancy bitmap,
+//!   filled in one pass over the node's rows, so fill, subtraction, scan
+//!   and reuse cost O(rows in the node × features + bins / 64) rather
+//!   than O(features × bins), and a branch-free stable in-place partition
+//!   of one index buffer. A boosting fit keeps the index buffer, the
+//!   partition scratch and the histogram sets in one `TreeWorkspace`
+//!   across its trees. Single-threaded: callers parallelize across whole
+//!   fits (edges, folds, grid points). The production default
 //!   ([`SplitStrategy::Histogram`]).
 //!
 //! Split gains accumulate into a per-feature importance vector — the
@@ -188,13 +191,15 @@ struct HistBin {
     n: u32,
 }
 
-/// One feature's histogram in one node: dense cells plus an occupancy
-/// bitmap. Bit `b` of `words` is set exactly when `cells[b].n > 0`, and a
-/// cell with `n == 0` is all-zero. So fill, subtraction, scan and reuse
-/// cost O(rows in the node + bins / 64), not O(bins): a node of a couple
-/// of hundred rows over 256 bins touches the cells its rows reach, not all
-/// of them.
-struct FeatureHist {
+/// Every feature's histogram in one node, in one flat buffer: dense cells
+/// plus an occupancy bitmap. Feature `f`'s cells start at the workspace's
+/// `offsets[f]`, a multiple of 64, so cell `k`'s bit is bit `k % 64` of
+/// word `k / 64` and each feature owns whole words. Bit `k` is set exactly
+/// when `cells[k].n > 0`, and a cell with `n == 0` is all-zero. So fill,
+/// subtraction, scan and reuse cost O(rows in the node + bins / 64), not
+/// O(bins): a node of a couple of hundred rows over 256 bins touches the
+/// cells its rows reach, not all of them.
+struct HistSet {
     cells: Vec<HistBin>,
     words: Vec<u64>,
 }
@@ -211,39 +216,53 @@ fn for_each_set_bit(words: &[u64], mut visit: impl FnMut(usize)) {
     }
 }
 
-impl FeatureHist {
-    fn zeroed(n_bins: usize) -> Self {
-        FeatureHist { cells: vec![HistBin::default(); n_bins], words: vec![0; n_bins.div_ceil(64)] }
+impl HistSet {
+    fn zeroed(n_cells: usize) -> Self {
+        HistSet { cells: vec![HistBin::default(); n_cells], words: vec![0; n_cells / 64] }
     }
 
-    /// Accumulate rows `idx`, in order, into this all-zero histogram,
-    /// setting each row's bit as it lands.
-    fn fill(&mut self, codes: &[u16], g: &[f64], h: &[f64], idx: &[usize]) {
+    /// Accumulate rows `idx`, in order, into this all-zero set: one pass
+    /// over the rows, each added to every feature's histogram and setting
+    /// its cells' bits. Every cell still receives its rows in `idx` order,
+    /// but consecutive adds go to different features' cells, so they do
+    /// not wait on one another.
+    fn fill(
+        &mut self,
+        binned: &BinnedMatrix,
+        offsets: &[usize],
+        g: &[f64],
+        h: &[f64],
+        idx: &[usize],
+    ) {
+        let HistSet { cells, words } = self;
         for &i in idx {
-            let c = codes[i] as usize;
-            let b = &mut self.cells[c];
-            b.g += g[i];
-            b.h += h[i];
-            b.n += 1;
-            self.words[c / 64] |= 1 << (c % 64);
+            let (gi, hi) = (g[i], h[i]);
+            for (&c, &off) in binned.row(i).iter().zip(offsets) {
+                let k = off + c as usize;
+                let b = &mut cells[k];
+                b.g += gi;
+                b.h += hi;
+                b.n += 1;
+                words[k / 64] |= 1 << (k % 64);
+            }
         }
     }
 
     /// The subtraction trick: `self − child` in place, giving the
-    /// sibling's histogram without touching its (larger) row set. Only the
+    /// sibling's histograms without touching its (larger) row set. Only the
     /// child's occupied cells change (elsewhere the child holds `+0.0`,
     /// and `x − 0.0 == x`); a cell left empty is zeroed and its bit
     /// cleared, which drops the rounding residual it would otherwise keep.
-    fn subtract(&mut self, child: &FeatureHist) {
-        let FeatureHist { cells, words } = self;
-        for_each_set_bit(&child.words, |b| {
-            let (p, c) = (&mut cells[b], child.cells[b]);
+    fn subtract(&mut self, child: &HistSet) {
+        let HistSet { cells, words } = self;
+        for_each_set_bit(&child.words, |k| {
+            let (p, c) = (&mut cells[k], child.cells[k]);
             p.g -= c.g;
             p.h -= c.h;
             p.n -= c.n;
             if p.n == 0 {
                 *p = HistBin::default();
-                words[b / 64] &= !(1 << (b % 64));
+                words[k / 64] &= !(1 << (k % 64));
             }
         });
     }
@@ -251,8 +270,8 @@ impl FeatureHist {
     /// Return to all-zero by clearing only the occupied cells and the
     /// words.
     fn clear(&mut self) {
-        let FeatureHist { cells, words } = self;
-        for_each_set_bit(words, |b| cells[b] = HistBin::default());
+        let HistSet { cells, words } = self;
+        for_each_set_bit(words, |k| cells[k] = HistBin::default());
         words.fill(0);
     }
 }
@@ -265,6 +284,10 @@ struct SplitCand {
     /// Last bin code routed left.
     bin: u16,
     threshold: f64,
+    /// `upper[bin] <= threshold < lower[next]` for the next non-empty bin
+    /// in the node: routing the node's rows by value then agrees with
+    /// routing them by code (see [`TreeWorkspace::separates`]).
+    separates: bool,
     g_left: f64,
     h_left: f64,
     n_left: usize,
@@ -272,22 +295,28 @@ struct SplitCand {
 
 /// Accumulate `idx`'s gradient statistics, in `idx` order, into every
 /// feature's all-zero histogram.
-fn fill_hist(binned: &BinnedMatrix, g: &[f64], h: &[f64], idx: &[usize], hist: &mut [FeatureHist]) {
+fn fill_hist(
+    binned: &BinnedMatrix,
+    offsets: &[usize],
+    g: &[f64],
+    h: &[f64],
+    idx: &[usize],
+    hist: &mut HistSet,
+) {
     let t0 = crate::fitmetrics::phase_start();
-    for (f, bins) in hist.iter_mut().enumerate() {
-        bins.fill(&binned.column(f).codes, g, h, idx);
-    }
+    hist.fill(binned, offsets, g, h, idx);
     crate::fitmetrics::phase_end(t0, crate::fitmetrics::fill_hist());
 }
 
-/// Scan one feature's histogram for its best split. Candidate thresholds
-/// sit halfway between the observed value ranges of in-node-adjacent
-/// non-empty bins — exactly the midpoints the exact trainer uses whenever
-/// each distinct value has its own bin. The set bits are exactly the
-/// non-empty bins, in ascending order.
+/// Scan one feature's histogram (its `cells` and `words`) for its best
+/// split. Candidate thresholds sit halfway between the observed value
+/// ranges of in-node-adjacent non-empty bins — exactly the midpoints the
+/// exact trainer uses whenever each distinct value has its own bin. The
+/// set bits are exactly the non-empty bins, in ascending order.
 fn search_feature(
     col: &BinnedColumn,
-    bins: &FeatureHist,
+    cells: &[HistBin],
+    words: &[u64],
     feature: usize,
     g_sum: f64,
     h_sum: f64,
@@ -299,8 +328,8 @@ fn search_feature(
     let mut nl = 0usize;
     let mut pending: Option<(usize, f64, f64, usize)> = None;
     let mut best: Option<SplitCand> = None;
-    for_each_set_bit(&bins.words, |b| {
-        let cell = bins.cells[b];
+    for_each_set_bit(words, |b| {
+        let cell = cells[b];
         if let Some((pb, pgl, phl, pnl)) = pending {
             let gr = g_sum - pgl;
             let hr = h_sum - phl;
@@ -310,11 +339,13 @@ fn search_feature(
                         - parent_score)
                     - params.gamma;
                 if gain > best.map_or(0.0, |c| c.gain) {
+                    let threshold = 0.5 * (col.upper[pb] + col.lower[b]);
                     best = Some(SplitCand {
                         gain,
                         feature,
                         bin: pb as u16,
-                        threshold: 0.5 * (col.upper[pb] + col.lower[b]),
+                        threshold,
+                        separates: col.upper[pb] <= threshold && threshold < col.lower[b],
                         g_left: pgl,
                         h_left: phl,
                         n_left: pnl,
@@ -334,15 +365,18 @@ fn search_feature(
 /// a strict `>` — the same fixed tie-break as the exact trainer's loop.
 fn search_splits(
     binned: &BinnedMatrix,
-    hist: &[FeatureHist],
+    offsets: &[usize],
+    hist: &HistSet,
     g_sum: f64,
     h_sum: f64,
     params: &TreeParams,
 ) -> Option<SplitCand> {
     let t0 = crate::fitmetrics::phase_start();
     let mut best: Option<SplitCand> = None;
-    for (f, bins) in hist.iter().enumerate() {
-        if let Some(c) = search_feature(binned.column(f), bins, f, g_sum, h_sum, params) {
+    for (f, span) in offsets.windows(2).enumerate() {
+        let (cells, words) =
+            (&hist.cells[span[0]..span[1]], &hist.words[span[0] / 64..span[1] / 64]);
+        if let Some(c) = search_feature(binned.column(f), cells, words, f, g_sum, h_sum, params) {
             if c.gain > best.map_or(0.0, |b| b.gain) {
                 best = Some(c);
             }
@@ -352,6 +386,71 @@ fn search_splits(
     best
 }
 
+/// The buffers a histogram fit keeps from one tree to the next: the
+/// index buffer, the partition scratch and the recycled all-zero
+/// histogram sets, sized for one [`BinnedMatrix`]. After a tree is grown
+/// it also describes where the tree put its rows.
+pub(crate) struct TreeWorkspace {
+    /// Cell offset of each feature's histogram (multiples of 64), then
+    /// the total cell count.
+    offsets: Vec<usize>,
+    /// Every node's rows live in one contiguous range of this buffer;
+    /// splitting a node partitions its range in place.
+    idx: Vec<usize>,
+    /// Receives the right-going rows during a stable partition.
+    scratch: Vec<usize>,
+    /// All-zero histogram sets; at most `max_depth + 1` are live at once.
+    pool: Vec<HistSet>,
+    /// Each leaf of the last tree: its range of `idx` and its value.
+    leaves: Vec<(usize, usize, f64)>,
+    /// Whether every split of the last tree has
+    /// `upper[bin] <= threshold < lower[next]`.
+    separates: bool,
+}
+
+impl TreeWorkspace {
+    pub(crate) fn new(binned: &BinnedMatrix) -> Self {
+        let mut offsets = vec![0];
+        for f in 0..binned.n_features() {
+            offsets.push(offsets[f] + binned.column(f).n_bins().next_multiple_of(64));
+        }
+        TreeWorkspace {
+            offsets,
+            idx: Vec::new(),
+            scratch: Vec::new(),
+            pool: Vec::new(),
+            leaves: Vec::new(),
+            separates: true,
+        }
+    }
+
+    fn acquire_hist(&mut self) -> HistSet {
+        let n_cells = self.offsets[self.offsets.len() - 1];
+        self.pool.pop().unwrap_or_else(|| HistSet::zeroed(n_cells))
+    }
+
+    /// Whether routing the last tree's training rows by value
+    /// (`predict_one`) reaches the leaves the trainer put them in by code.
+    ///
+    /// A split between bin `b` and the next non-empty bin `n` of its node
+    /// sends codes `≤ b` left. The node's rows hold values `≤ upper[b]` or
+    /// `≥ lower[n]`, so `upper[b] <= threshold < lower[n]` makes value
+    /// routing agree row for row. The midpoint fails it by rounding onto
+    /// `lower[n]` when `upper[b]` and `lower[n]` are adjacent floats (or by
+    /// overflowing). Rows outside the sample may fall in bins the node
+    /// never held, so the test says nothing about them.
+    pub(crate) fn separates(&self) -> bool {
+        self.separates
+    }
+
+    /// The last tree's training rows, leaf by leaf, with each leaf's
+    /// value. Each row appears once; together the leaves hold exactly
+    /// the `indices` the tree was fitted on.
+    pub(crate) fn leaf_rows(&self) -> impl Iterator<Item = (&[usize], f64)> {
+        self.leaves.iter().map(|&(lo, hi, value)| (&self.idx[lo..hi], value))
+    }
+}
+
 struct HistBuilder<'a> {
     binned: &'a BinnedMatrix,
     g: &'a [f64],
@@ -359,70 +458,57 @@ struct HistBuilder<'a> {
     params: TreeParams,
     nodes: Vec<Node>,
     importance: &'a mut [f64],
-    /// Every node's samples live in one contiguous range of this single
-    /// reusable buffer; splitting a node partitions its range in place.
-    idx: Vec<usize>,
-    /// Holds the right half during a stable partition.
-    scratch: Vec<usize>,
-    /// Recycled all-zero histogram buffers; at most `depth + 1` are live
-    /// at once.
-    pool: Vec<Vec<FeatureHist>>,
+    ws: &'a mut TreeWorkspace,
 }
 
-impl<'a> HistBuilder<'a> {
-    fn acquire_hist(&mut self) -> Vec<FeatureHist> {
-        self.pool.pop().unwrap_or_else(|| {
-            (0..self.binned.n_features())
-                .map(|f| FeatureHist::zeroed(self.binned.column(f).n_bins()))
-                .collect()
-        })
-    }
-
+impl HistBuilder<'_> {
     /// Grow the node owning `idx[lo..hi]`, whose histogram is already
-    /// filled. Returns the node's arena index; the histogram buffer is
+    /// filled. Returns the node's arena index; the histogram set is
     /// cleared and recycled (leaves) or reused in place for the larger
     /// child (splits).
     fn grow(
         &mut self,
         lo: usize,
         hi: usize,
-        mut hist: Vec<FeatureHist>,
+        mut hist: HistSet,
         g_sum: f64,
         h_sum: f64,
         depth: usize,
     ) -> usize {
         let leaf_value = -g_sum / (h_sum + self.params.lambda);
+        let binned = self.binned;
         let cand = if depth >= self.params.max_depth || hi - lo < 2 {
             None
         } else {
-            search_splits(self.binned, &hist, g_sum, h_sum, &self.params)
+            search_splits(binned, &self.ws.offsets, &hist, g_sum, h_sum, &self.params)
         };
         let Some(cand) = cand else {
-            hist.iter_mut().for_each(FeatureHist::clear);
-            self.pool.push(hist);
+            hist.clear();
+            self.ws.pool.push(hist);
+            self.ws.leaves.push((lo, hi, leaf_value));
             self.nodes.push(Node::Leaf { value: leaf_value });
             return self.nodes.len() - 1;
         };
         self.importance[cand.feature] += cand.gain;
+        self.ws.separates &= cand.separates;
 
-        // Stable in-place partition: codes ≤ the split bin go left. For
-        // in-node samples this is equivalent to `value ≤ threshold`.
+        // Stable in-place partition: codes ≤ the split bin go left. Every
+        // row is written to both sides and only the matching cursor
+        // advances, so the loop has no data-dependent branch.
         let t0 = crate::fitmetrics::phase_start();
-        let binned = self.binned;
-        let codes = &binned.column(cand.feature).codes;
-        self.scratch.clear();
-        let mut write = lo;
+        let (nf, codes) = (binned.n_features(), binned.codes());
+        let TreeWorkspace { idx, scratch, .. } = &mut *self.ws;
+        let (mut left, mut right) = (lo, 0);
         for r in lo..hi {
-            let i = self.idx[r];
-            if codes[i] <= cand.bin {
-                self.idx[write] = i;
-                write += 1;
-            } else {
-                self.scratch.push(i);
-            }
+            let i = idx[r];
+            let goes_left = usize::from(codes[i * nf + cand.feature] <= cand.bin);
+            idx[left] = i;
+            scratch[right] = i;
+            left += goes_left;
+            right += 1 - goes_left;
         }
-        let mid = write;
-        self.idx[mid..hi].copy_from_slice(&self.scratch);
+        let mid = left;
+        idx[mid..hi].copy_from_slice(&scratch[..right]);
         debug_assert_eq!(mid - lo, cand.n_left);
         crate::fitmetrics::phase_end(t0, crate::fitmetrics::partition());
 
@@ -430,14 +516,13 @@ impl<'a> HistBuilder<'a> {
         let (gr, hr) = (g_sum - gl, h_sum - hl);
         // Accumulate only the smaller child; the larger one is the
         // subtraction `parent − sibling`, reusing the parent's buffer.
-        let mut small = self.acquire_hist();
+        let mut small = self.ws.acquire_hist();
         let mut large = hist;
         let left_is_small = mid - lo <= hi - mid;
         let small_rows = if left_is_small { lo..mid } else { mid..hi };
-        fill_hist(binned, self.g, self.h, &self.idx[small_rows], &mut small);
-        for (p, c) in large.iter_mut().zip(&small) {
-            p.subtract(c);
-        }
+        let ws = &*self.ws;
+        fill_hist(binned, &ws.offsets, self.g, self.h, &ws.idx[small_rows], &mut small);
+        large.subtract(&small);
         let (left_hist, right_hist) = if left_is_small { (small, large) } else { (large, small) };
 
         let slot = self.nodes.len();
@@ -473,10 +558,30 @@ impl RegressionTree {
         params: TreeParams,
         importance: &mut [f64],
     ) -> Self {
+        let mut ws = TreeWorkspace::new(binned);
+        Self::fit_binned_in(&mut ws, binned, g, h, indices, params, importance)
+    }
+
+    /// [`RegressionTree::fit_binned`] on buffers kept across the trees of
+    /// one fit; `ws` must have been made for `binned`. Afterwards `ws`
+    /// holds the tree's leaf row ranges ([`TreeWorkspace::leaf_rows`]).
+    pub(crate) fn fit_binned_in(
+        ws: &mut TreeWorkspace,
+        binned: &BinnedMatrix,
+        g: &[f64],
+        h: &[f64],
+        indices: &[usize],
+        params: TreeParams,
+        importance: &mut [f64],
+    ) -> Self {
         assert_eq!(binned.n_rows(), g.len());
         assert_eq!(binned.n_rows(), h.len());
         let n_features = binned.n_features();
         assert_eq!(importance.len(), n_features);
+        assert_eq!(ws.offsets.len(), n_features + 1, "workspace made for another matrix");
+        ws.leaves.clear();
+        ws.separates = true;
+        ws.idx.clear();
         if indices.is_empty() || n_features == 0 {
             return RegressionTree { nodes: vec![Node::Leaf { value: 0.0 }] };
         }
@@ -486,20 +591,14 @@ impl RegressionTree {
             g_sum += g[i];
             h_sum += h[i];
         }
-        let mut builder = HistBuilder {
-            binned,
-            g,
-            h,
-            params,
-            nodes: Vec::new(),
-            importance,
-            idx: indices.to_vec(),
-            scratch: Vec::with_capacity(indices.len()),
-            pool: Vec::new(),
-        };
-        let mut hist = builder.acquire_hist();
-        fill_hist(binned, g, h, &builder.idx, &mut hist);
-        let n = builder.idx.len();
+        ws.idx.extend_from_slice(indices);
+        if ws.scratch.len() < indices.len() {
+            ws.scratch.resize(indices.len(), 0);
+        }
+        let mut hist = ws.acquire_hist();
+        fill_hist(binned, &ws.offsets, g, h, &ws.idx, &mut hist);
+        let n = indices.len();
+        let mut builder = HistBuilder { binned, g, h, params, nodes: Vec::new(), importance, ws };
         let root = builder.grow(0, n, hist, g_sum, h_sum, 0);
         debug_assert_eq!(root, 0);
         RegressionTree { nodes: builder.nodes }
