@@ -3,14 +3,18 @@
 //! `par_iter().filter_map(..).collect()` and
 //! `par_iter().enumerate().map(..).collect()`.
 //!
-//! Implementation: items are split into one contiguous chunk per worker
-//! thread (scoped `std::thread`), each chunk is processed in input order,
-//! and chunk outputs are concatenated in chunk order — so results are
-//! **always in input order**, identical to the serial path, regardless of
-//! scheduling. That determinism is a load-bearing property for the
-//! campaign runner's serial-vs-parallel bit-identity contract.
+//! Implementation: one scoped `std::thread` per worker, each claiming the
+//! next unclaimed item from a shared atomic counter until none is left,
+//! so a worker that drew cheap items takes more of them and one expensive
+//! item does not hold up a whole chunk behind it (callers often order
+//! their items largest first). Each output is stored at its item's index,
+//! so results are **always in input order**, identical to the serial
+//! path, regardless of scheduling. That determinism is a load-bearing
+//! property for the campaign runner's serial-vs-parallel bit-identity
+//! contract.
 
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of worker threads: `WDT_THREADS` if set, else the machine's
 /// available parallelism.
@@ -24,7 +28,9 @@ pub fn current_num_threads() -> usize {
 }
 
 /// Run `f(i)` for every `i` in `0..n` on a scoped thread pool and return
-/// all outputs in index order. The building block behind the adapters.
+/// all outputs in index order. The building block behind the adapters:
+/// workers claim indices one at a time from a shared counter, so every
+/// index runs exactly once, on whichever worker is free.
 fn indexed_map<O, F>(n: usize, threads: usize, f: F) -> Vec<Vec<O>>
 where
     O: Send,
@@ -34,22 +40,33 @@ where
     if threads <= 1 || n <= 1 {
         return (0..n).map(f).collect();
     }
-    let chunk = n.div_ceil(threads);
-    let mut out: Vec<Vec<Vec<O>>> = Vec::with_capacity(threads);
+    let next = AtomicUsize::new(0);
+    let mut out: Vec<Option<Vec<O>>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let f = &f;
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(n);
-                scope.spawn(move || (lo..hi).map(f).collect::<Vec<Vec<O>>>())
+            .map(|_| {
+                let (f, next) = (&f, &next);
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        // Relaxed: the counter publishes no data; each
+                        // worker's outputs come back through `join`.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return done;
+                        }
+                        done.push((i, f(i)));
+                    }
+                })
             })
             .collect();
         for h in handles {
-            out.push(h.join().expect("rayon-compat worker panicked"));
+            for (i, o) in h.join().expect("rayon-compat worker panicked") {
+                out[i] = Some(o);
+            }
         }
     });
-    out.into_iter().flatten().collect()
+    out.into_iter().map(|o| o.expect("every index claimed once")).collect()
 }
 
 /// A parallel iterator over a slice.
@@ -207,6 +224,27 @@ mod tests {
         let one = [7u8];
         let out: Vec<u8> = one.par_iter().map(|&x| x + 1).collect();
         assert_eq!(out, vec![8]);
+    }
+
+    #[test]
+    fn claiming_runs_every_index_once_in_order_under_skewed_cost() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::Duration;
+        // Early items cost the most, as when callers sort work largest
+        // first: contiguous chunks would leave the first worker with all
+        // the slow ones.
+        let n = 48;
+        let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        let out = super::indexed_map(n, 4, |i| {
+            runs[i].fetch_add(1, Ordering::Relaxed);
+            if i < 8 {
+                std::thread::sleep(Duration::from_millis(20 - 2 * i as u64));
+            }
+            vec![i * 10, i * 10 + 1]
+        });
+        assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1), "an index ran twice or never");
+        let want: Vec<Vec<usize>> = (0..n).map(|i| vec![i * 10, i * 10 + 1]).collect();
+        assert_eq!(out, want);
     }
 
     #[test]
