@@ -7,6 +7,7 @@ use crate::args::Args;
 use rayon::prelude::*;
 use std::error::Error;
 use std::fs;
+use std::io::Write;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -425,11 +426,18 @@ fn predict(args: &Args) -> CmdResult {
     let model = FittedModel::from_json(&fs::read_to_string(args.require("model")?)?)?;
     let features = extract_features(&log);
     let data = build_dataset(&features, false);
-    let preds = model.predict(&data.x);
-    println!("id,edge,actual_mbps,predicted_mbps");
+    // One contiguous chunk per worker; rows predict independently, so the
+    // concatenated chunks equal one whole-log call bit for bit.
+    let chunk = data.x.len().div_ceil(rayon::current_num_threads()).max(1);
+    let chunks: Vec<&[Vec<f64>]> = data.x.chunks(chunk).collect();
+    let preds: Vec<f64> =
+        chunks.par_iter().map(|rows| model.predict(rows)).collect::<Vec<_>>().concat();
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    writeln!(out, "id,edge,actual_mbps,predicted_mbps")?;
     for (f, p) in features.iter().zip(&preds) {
-        println!("{},{},{:.2},{:.2}", f.id.0, f.edge, f.rate / 1e6, p / 1e6);
+        writeln!(out, "{},{},{:.2},{:.2}", f.id.0, f.edge, f.rate / 1e6, p / 1e6)?;
     }
+    out.flush()?;
     Ok(())
 }
 
