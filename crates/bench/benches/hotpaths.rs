@@ -4,7 +4,7 @@
 //! `sim.simulate_s`, `features.extract_s`) instead.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use wdt_ml::{mic, Gbdt, GbdtParams, SplitStrategy};
+use wdt_ml::{mic, Gbdt, GbdtParams};
 
 /// Row-major synthetic regression data with continuous features (worst
 /// case for the binner: every value distinct → full quantile path).
@@ -30,13 +30,10 @@ fn bench_gbdt_fit(c: &mut Criterion) {
     g.sample_size(10);
     for &n in &[5_000usize, 50_000] {
         let (x, y) = synth_matrix(n, 15);
-        let rounds = 20;
-        for (name, split) in [("hist", SplitStrategy::Histogram), ("exact", SplitStrategy::Exact)] {
-            let params = GbdtParams { n_rounds: rounds, split, ..Default::default() };
-            g.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
-                b.iter(|| Gbdt::fit(&x, &y, &params))
-            });
-        }
+        let params = GbdtParams { n_rounds: 20, ..Default::default() };
+        g.bench_with_input(BenchmarkId::new("hist", n), &n, |b, _| {
+            b.iter(|| Gbdt::fit(&x, &y, &params))
+        });
     }
     g.finish();
 }

@@ -1,7 +1,7 @@
 //! CLI subcommand implementations.
 //!
-//! Each command is a plain function from parsed [`Args`](crate::args::Args)
-//! to a `Result`, so the logic is unit-testable without spawning processes.
+//! Each command is a plain function from parsed [`Args`] to a `Result`, so
+//! the logic is unit-testable without spawning processes.
 
 use crate::args::Args;
 use rayon::prelude::*;
@@ -22,7 +22,6 @@ use wdt_ingest::{
     tail_csv, Backpressure, IngestConfig, IngestPipeline, LogStore, MemoryRing, RetrainConfig,
     RetrainDriver, SegmentStore, SwapEvent,
 };
-use wdt_ml::SplitStrategy;
 use wdt_model::{
     build_dataset, default_grid, recommend_endpoint_concurrency, run_per_edge, tune_gbdt,
     FitConfig, FittedModel, ModelKind, PerEdgeConfig,
@@ -85,10 +84,9 @@ pub fn usage() -> String {
                --log FILE [--threshold X=0.5] [--min-transfers N=300]\n\
      train     fit a transfer-rate model on one edge (or all edges pooled)\n\
                --log FILE --model OUT [--src N --dst N] [--kind linear|gbdt=gbdt]\n\
-               [--threshold X=0.5] [--tune] [--max-bins N=256] [--exact]\n\
-               [--trace FILE]\n\
-               (--exact switches the boosted trees from the default\n\
-                histogram split search to exhaustive exact search)\n\
+               [--threshold X=0.5] [--tune] [--max-bins N=256] [--trace FILE]\n\
+               (--max-bins 65536 bins any column of at most 65,536\n\
+                distinct values losslessly)\n\
      predict   predict rates for a log's transfers with a saved model\n\
                --log FILE --model FILE\n\
      explain   slowdown triage: attribute the worst-p99 slowdown transfers\n\
@@ -110,7 +108,7 @@ pub fn usage() -> String {
                --model-dir DIR [--port N=8191] [--acceptors N={acceptors}]\n\
                [--deadline-ms N={deadline_ms}] [--max-batch N={max_batch}]\n\
                [--flush-us N={flush_us}] [--queue-cap N={queue_cap}]\n\
-               [--explain-top N={explain_top}] [--cores LIST]\n\
+               [--explain-top N={explain_top}]\n\
                (endpoints: POST /predict, POST /explain for a prediction\n\
                 plus its per-feature attributions (--explain-top ranks the\n\
                 N largest), GET /healthz, GET /metrics, GET /metrics.prom\n\
@@ -118,21 +116,18 @@ pub fn usage() -> String {
                 POST /reload to hot-swap to the newest model in DIR,\n\
                 POST /shutdown for a graceful stop. All connections are\n\
                 multiplexed over --acceptors poller threads. --deadline-ms\n\
-                answers 408 to requests that stall mid-delivery. --cores\n\
-                pins the process to a CPU list like 0-3,6 — Linux only,\n\
-                for the multi-core bench protocol in EXPERIMENTS.md)\n\
+                answers 408 to requests that stall mid-delivery)\n\
      loadgen   replay a log's feature vectors against a running server\n\
                --addr HOST:PORT --log FILE [--requests N=10000]\n\
                [--mode closed|open=closed] [--concurrency N=8]\n\
                [--rate X=5000] [--connections N=4] [--pipeline N=1]\n\
-               [--warmup N=0] [--min-rps X] [--cores LIST] [--out FILE]\n\
+               [--warmup N=0] [--min-rps X] [--out FILE]\n\
                (closed loop measures capacity; open loop paces arrivals\n\
                 at --rate req/s to measure latency under target load;\n\
                 --pipeline sends N requests per burst on each connection;\n\
                 --warmup discards the first N responses from the latency\n\
                 histogram; --min-rps fails the run if throughput lands\n\
-                below the floor — the CI regression gate; --cores pins\n\
-                the generator to a CPU list like 4-7)\n\
+                below the floor — the CI regression gate)\n\
      ingest    stream transfer records into the continuous-training\n\
                pipeline: bounded queue -> log store -> windowed features\n\
                -> periodic refits with drift detection, each new model\n\
@@ -208,8 +203,8 @@ pub fn usage() -> String {
 
 /// Load a transfer log line by line: memory is one line buffer plus the
 /// records themselves, never a second whole-file string. Parse errors keep
-/// [`records_from_csv`]'s exact line numbers (the streaming reader is the
-/// same parser).
+/// [`records_from_csv`](wdt_types::records_from_csv)'s exact line numbers
+/// (the streaming reader is the same parser).
 fn load_log(args: &Args) -> Result<Vec<TransferRecord>, Box<dyn Error>> {
     let path = args.require("log")?;
     let file = fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
@@ -357,7 +352,6 @@ fn train(args: &Args) -> CmdResult {
         "threshold",
         "tune",
         "max-bins",
-        "exact",
         "trace",
     ])?;
     let trace = trace_setup(args);
@@ -365,6 +359,13 @@ fn train(args: &Args) -> CmdResult {
     let model_path = args.require("model")?.to_string();
     let threshold: f64 = args.get_or("threshold", 0.5)?;
     let kind = parse_kind(args)?;
+    let mut cfg = FitConfig::default();
+    let max_bins = args.get_or("max-bins", cfg.gbdt.max_bins)?;
+    if !wdt_ml::binning::MAX_BINS.contains(&max_bins) {
+        return Err(
+            format!("--max-bins {max_bins} is outside {:?}", wdt_ml::binning::MAX_BINS).into()
+        );
+    }
 
     let features = extract_features(&log);
     let filtered = threshold_filter(&features, threshold);
@@ -383,7 +384,6 @@ fn train(args: &Args) -> CmdResult {
     let data = build_dataset(&selected, false);
     let (train_set, test_set) = data.split(0.7, 7);
 
-    let mut cfg = FitConfig::default();
     if args.flag("tune") && kind == ModelKind::Gbdt {
         eprintln!("tuning over {} candidates with 3-fold CV ...", default_grid().len());
         if let Some(results) = tune_gbdt(&train_set, &default_grid(), 3, 7) {
@@ -395,12 +395,9 @@ fn train(args: &Args) -> CmdResult {
             cfg.gbdt = best.params;
         }
     }
-    // Engine flags override whatever tuning picked: the grid varies only
-    // learning hyperparameters, never the split engine.
-    cfg.gbdt.max_bins = args.get_or("max-bins", cfg.gbdt.max_bins)?;
-    if args.flag("exact") {
-        cfg.gbdt.split = SplitStrategy::Exact;
-    }
+    // --max-bins overrides whatever tuning picked: the grid varies only
+    // learning hyperparameters, never the binning.
+    cfg.gbdt.max_bins = max_bins;
     let model = FittedModel::fit(&train_set, kind, &cfg)
         .ok_or("model failed to fit (degenerate features?)")?;
     let eval = model.evaluate(&test_set);
@@ -442,9 +439,10 @@ fn predict(args: &Args) -> CmdResult {
 }
 
 /// The four triage buckets a feature's contribution lands in, by the
-/// paper's feature families: competing load (K\*: concurrent transfer
-/// counts, S\*: aggregate MB/s), endpoint contention (G\*: GridFTP
-/// instances), the transfer's own tuning (C, P), and its shape (N\*).
+/// paper's feature families: competing load (K\*: contending transfer
+/// rate in B/s, S\*: competing TCP stream counts), endpoint contention
+/// (G\*: GridFTP instances), the transfer's own tuning (C, P), and its
+/// shape (N\*).
 const TRIAGE_BUCKETS: [&str; 4] = ["competing_load", "endpoint", "tuning", "shape"];
 
 fn triage_bucket(name: &str) -> usize {
@@ -831,8 +829,9 @@ struct ScenarioReport {
 }
 
 /// A feature name counts as "competing load" if it measures other traffic
-/// (K*: concurrent transfer counts, S*: aggregate MB/s, G*: GridFTP
-/// instance counts) rather than the transfer's own tunables or shape.
+/// (K*: contending transfer rate in B/s, S*: competing TCP stream counts,
+/// G*: GridFTP instance counts) rather than the transfer's own tunables
+/// or shape.
 fn is_competing_load(name: &str) -> bool {
     matches!(name.as_bytes().first(), Some(b'K' | b'S' | b'G'))
 }
@@ -1133,9 +1132,7 @@ fn serve(args: &Args) -> CmdResult {
         "flush-us",
         "queue-cap",
         "explain-top",
-        "cores",
     ])?;
-    apply_cores(args)?;
     let dir = args.require("model-dir")?.to_string();
     let d = ServeConfig::default();
     let cfg = ServeConfig {
@@ -1187,10 +1184,8 @@ fn loadgen(args: &Args) -> CmdResult {
         "pipeline",
         "warmup",
         "min-rps",
-        "cores",
         "out",
     ])?;
-    apply_cores(args)?;
     let addr: SocketAddr = args.require_as("addr")?;
     let mode = match args.get("mode").unwrap_or("closed") {
         "closed" => LoadgenMode::Closed { concurrency: args.get_or("concurrency", 8)? },
@@ -1532,48 +1527,6 @@ fn peak_rss_mb() -> Option<f64> {
     Some(kb / 1024.0)
 }
 
-/// Apply `--cores 0-3,6` process affinity when present. Best-effort on
-/// purpose: affinity is bench-protocol tooling, so an unsupported
-/// platform warns rather than failing, but a malformed list is an error.
-fn apply_cores(args: &Args) -> CmdResult {
-    let Some(spec) = args.get("cores") else { return Ok(()) };
-    let cpus = parse_cores(spec)?;
-    match wdt_serve::shim::set_affinity(&cpus) {
-        Ok(()) => eprintln!("pinned to cpus {cpus:?}"),
-        Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {
-            eprintln!("--cores ignored: {e}");
-        }
-        Err(e) => return Err(format!("--cores {spec}: {e}").into()),
-    }
-    Ok(())
-}
-
-/// Parse a CPU list like `0-3,6` into sorted, deduplicated indices.
-fn parse_cores(spec: &str) -> Result<Vec<usize>, Box<dyn Error>> {
-    let mut cpus = Vec::new();
-    for part in spec.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            return Err(format!("bad --cores '{spec}': empty element").into());
-        }
-        let parse = |s: &str| -> Result<usize, Box<dyn Error>> {
-            s.parse().map_err(|_| format!("bad --cores '{spec}': '{s}' is not a cpu index").into())
-        };
-        if let Some((lo, hi)) = part.split_once('-') {
-            let (lo, hi) = (parse(lo)?, parse(hi)?);
-            if lo > hi {
-                return Err(format!("bad --cores '{spec}': descending range '{part}'").into());
-            }
-            cpus.extend(lo..=hi);
-        } else {
-            cpus.push(parse(part)?);
-        }
-    }
-    cpus.sort_unstable();
-    cpus.dedup();
-    Ok(cpus)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1629,20 +1582,22 @@ mod tests {
         )))
         .expect("simulate");
         run(&parse(&format!(
-            "train --log {} --model {} --threshold 0.0 --exact --max-bins 64",
+            "train --log {} --model {} --threshold 0.0 --max-bins 64",
             log_path.display(),
             model_path.display()
         )))
-        .expect("train with --exact --max-bins");
+        .expect("train with --max-bins");
         assert!(model_path.exists());
-        let err = run(&parse(&format!(
-            "train --log {} --model {} --threshold 0.0 --max-bins many",
-            log_path.display(),
-            model_path.display()
-        )))
-        .unwrap_err()
-        .to_string();
-        assert!(err.contains("max-bins"), "{err}");
+        for bad in ["many", "1", "65537"] {
+            let err = run(&parse(&format!(
+                "train --log {} --model {} --threshold 0.0 --max-bins {bad}",
+                log_path.display(),
+                model_path.display()
+            )))
+            .unwrap_err()
+            .to_string();
+            assert!(err.contains("max-bins"), "{bad}: {err}");
+        }
     }
 
     #[test]
@@ -1699,7 +1654,6 @@ mod tests {
             "--trace",
             "--warmup",
             "--min-rps",
-            "--cores",
             "--from-csv",
             "--store-dir",
             "--drift-bg",
@@ -1717,22 +1671,16 @@ mod tests {
 
     #[test]
     fn serve_rejects_the_removed_front_end_flags() {
-        for (flag, value) in [("--frontend", "eventloop"), ("--workers", "8")] {
-            let err = run(&parse(&format!("serve --model-dir unused {flag} {value}")))
-                .unwrap_err()
-                .to_string();
-            assert!(err.contains(flag), "{err}");
+        for (cmd, flag) in [
+            ("serve --model-dir unused --frontend eventloop", "--frontend"),
+            ("serve --model-dir unused --workers 8", "--workers"),
+            ("serve --model-dir unused --cores 0", "--cores"),
+            ("loadgen --addr 127.0.0.1:1 --log unused --cores 4", "--cores"),
+            ("train --log unused --model unused --exact", "--exact"),
+        ] {
+            let err = run(&parse(cmd)).unwrap_err().to_string();
+            assert!(err.contains(flag), "{cmd} -> {err}");
             assert!(!usage().contains(flag), "usage still lists {flag}");
-        }
-    }
-
-    #[test]
-    fn parse_cores_handles_lists_and_ranges() {
-        assert_eq!(parse_cores("0").unwrap(), vec![0]);
-        assert_eq!(parse_cores("0-3,6").unwrap(), vec![0, 1, 2, 3, 6]);
-        assert_eq!(parse_cores("2,1,1-2").unwrap(), vec![1, 2], "sorted and deduplicated");
-        for bad in ["", "a", "1-", "-3", "3-1", "1,,2"] {
-            assert!(parse_cores(bad).is_err(), "'{bad}' must be rejected");
         }
     }
 

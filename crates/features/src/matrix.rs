@@ -76,17 +76,6 @@ impl Dataset {
         }
     }
 
-    /// Per-column variance.
-    pub fn column_variance(&self) -> Vec<f64> {
-        let n = self.len().max(1) as f64;
-        (0..self.width())
-            .map(|j| {
-                let mean: f64 = self.x.iter().map(|r| r[j]).sum::<f64>() / n;
-                self.x.iter().map(|r| (r[j] - mean).powi(2)).sum::<f64>() / n
-            })
-            .collect()
-    }
-
     /// Indices of columns whose coefficient of variation is effectively
     /// zero — the paper eliminates C and P this way ("they do not vary
     /// greatly in the log data", §5.1).

@@ -6,8 +6,8 @@
 //! fill reads each of its rows once and adds it to every feature's
 //! histogram, and the partition reads one code per row from the same
 //! buffer. The tree builder works entirely on codes: per-node
-//! gradient/Hessian histograms over ≤ `max_bins` bins replace the exact
-//! trainer's per-node re-sort, turning split search from
+//! gradient/Hessian histograms over ≤ `max_bins` bins replace exact greedy
+//! search's per-node re-sort, turning split search from
 //! O(rows · features) re-partitioning with allocations into O(rows)
 //! histogram accumulation plus an O(bins) scan.
 //!
@@ -15,9 +15,8 @@
 //! actually observed in it**. A split between in-node-adjacent non-empty
 //! bins `i < j` uses the threshold `(upper[i] + lower[j]) / 2` — when
 //! every distinct value has its own bin this is *exactly* the midpoint
-//! the exact greedy trainer would pick, which is what makes
-//! exact-vs-histogram parity testable tree-for-tree (see the property
-//! tests in `proptests.rs`).
+//! the exact greedy trainer would pick, which is what makes parity with
+//! that trainer, a test oracle in `proptests.rs`, testable tree-for-tree.
 //!
 //! Columns are binned one after another on the calling thread: a column
 //! of a few hundred rows takes microseconds, far less than a thread spawn.
@@ -89,12 +88,16 @@ fn bin_column(values: &[f64], max_bins: usize) -> (BinnedColumn, Vec<u16>) {
     (col, codes)
 }
 
+/// The `max_bins` values [`BinnedMatrix::build`] accepts: at least two
+/// bins, and no more than a `u16` code can name.
+pub const MAX_BINS: std::ops::RangeInclusive<usize> = 2..=1 << 16;
+
 impl BinnedMatrix {
     /// Quantize row-major `x` with at most `max_bins` bins per feature.
     ///
-    /// Panics if `max_bins < 2` or `max_bins > 65536` (codes are `u16`).
+    /// Panics if `max_bins` is outside [`MAX_BINS`].
     pub fn build(x: &[Vec<f64>], max_bins: usize) -> Self {
-        assert!((2..=1 << 16).contains(&max_bins), "max_bins must be in 2..=65536");
+        assert!(MAX_BINS.contains(&max_bins), "max_bins must be in {MAX_BINS:?}");
         let n_rows = x.len();
         let n_features = x.first().map_or(0, |r| r.len());
         let mut codes = vec![0u16; n_rows * n_features];
@@ -135,11 +138,6 @@ impl BinnedMatrix {
     /// The whole row-major code matrix (`n_rows × n_features`).
     pub(crate) fn codes(&self) -> &[u16] {
         &self.codes
-    }
-
-    /// Largest per-feature bin count (histogram buffer sizing).
-    pub fn max_n_bins(&self) -> usize {
-        self.columns.iter().map(BinnedColumn::n_bins).max().unwrap_or(0)
     }
 }
 
@@ -252,7 +250,6 @@ mod tests {
         assert_eq!(m.n_features(), 3);
         assert_eq!(m.column(0).n_bins(), 7);
         assert!(m.column(1).n_bins() <= 64);
-        assert_eq!(m.max_n_bins(), m.column(1).n_bins().max(m.column(2).n_bins()).max(7));
         // Row i's codes are its features' codes, in feature order.
         for f in 0..3 {
             let values: Vec<f64> = x.iter().map(|r| r[f]).collect();
@@ -271,6 +268,5 @@ mod tests {
         let m = BinnedMatrix::build(&[], 256);
         assert_eq!(m.n_rows(), 0);
         assert_eq!(m.n_features(), 0);
-        assert_eq!(m.max_n_bins(), 0);
     }
 }

@@ -6,22 +6,22 @@
 //! `g = ŷ − y` (Hessian 1), applies shrinkage `η`, and optionally row
 //! subsampling. Gain-based feature importance accumulates across rounds.
 //!
-//! Training defaults to the histogram engine: features are quantile-binned
-//! once per fit ([`BinnedMatrix`], `max_bins` bins per feature) and every
-//! round trains on the binned view — the XGBoost/LightGBM design — reusing
-//! one set of buffers. After each round the training rows take their new
-//! predictions from the leaves' row ranges in the tree's partition, and
-//! only rows outside the subsample walk the tree, unless a split's
-//! threshold could route a row by value differently from its bin code;
-//! then every row walks. Either way the predictions are bit-identical. Set
-//! [`GbdtParams::split`] to [`SplitStrategy::Exact`] to fall back to exact
-//! greedy search (reference/parity path). A fit runs on the calling
+//! Features are quantile-binned once per fit ([`BinnedMatrix`], `max_bins`
+//! bins per feature) and every round trains on the binned view — the
+//! XGBoost/LightGBM histogram design — reusing one set of buffers. After
+//! each round the training rows take their new predictions from the
+//! leaves' row ranges in the tree's partition, and only rows outside the
+//! subsample walk the tree, unless a split's threshold could route a row
+//! by value differently from its bin code; then every row walks. Either
+//! way the predictions are bit-identical. A fit runs on the calling
 //! thread; parallelism lives at the coarse sites that run many fits
 //! (per-edge models, tuning folds and grid, scenario sweeps), so nothing
 //! here depends on `WDT_THREADS`.
 
 use crate::binning::BinnedMatrix;
-use crate::tree::{Node, RegressionTree, SplitStrategy, TreeParams, TreeWorkspace};
+#[cfg(test)]
+use crate::tree::Node;
+use crate::tree::{RegressionTree, TreeParams, TreeWorkspace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wdt_types::json::{JsonError, JsonValue};
@@ -39,11 +39,9 @@ pub struct GbdtParams {
     pub tree: TreeParams,
     /// Seed for subsampling.
     pub seed: u64,
-    /// Histogram bins per feature (2..=65536); columns with fewer distinct
-    /// values are binned losslessly. Ignored by the exact strategy.
+    /// Histogram bins per feature (2..=65536); columns with at most this
+    /// many distinct values are binned losslessly.
     pub max_bins: usize,
-    /// Split-search engine; histogram is the production default.
-    pub split: SplitStrategy,
 }
 
 impl Default for GbdtParams {
@@ -55,7 +53,6 @@ impl Default for GbdtParams {
             tree: TreeParams::default(),
             seed: 0x5EED,
             max_bins: 256,
-            split: SplitStrategy::Histogram,
         }
     }
 }
@@ -98,15 +95,9 @@ impl Gbdt {
         // Quantile-bin the features once; every round trains on the view
         // and reuses one workspace.
         let t_bin = crate::fitmetrics::phase_start();
-        let binned = match params.split {
-            SplitStrategy::Histogram => Some(BinnedMatrix::build(x, params.max_bins)),
-            SplitStrategy::Exact => None,
-        };
+        let binned = BinnedMatrix::build(x, params.max_bins);
         crate::fitmetrics::phase_end(t_bin, crate::fitmetrics::binning());
-        let mut binned = binned.map(|b| {
-            let ws = TreeWorkspace::new(&b);
-            (b, ws)
-        });
+        let mut ws = TreeWorkspace::new(&binned);
         let mut rng = StdRng::seed_from_u64(params.seed);
         let mut preds = vec![base_score; n];
         let mut g = vec![0.0; n];
@@ -123,31 +114,20 @@ impl Gbdt {
             if sample.is_empty() {
                 continue;
             }
-            let tree = match &mut binned {
-                Some((b, ws)) => {
-                    let tree = RegressionTree::fit_binned_in(
-                        ws,
-                        b,
-                        &g,
-                        &h,
-                        &sample,
-                        params.tree,
-                        &mut model.importance,
-                    );
-                    if ws.separates() {
-                        refresh_from_leaves(&mut preds, x, &tree, ws, &sample, params.eta);
-                    } else {
-                        refresh_by_walk(&mut preds, x, &tree, 0..n, params.eta);
-                    }
-                    tree
-                }
-                None => {
-                    let tree =
-                        RegressionTree::fit(x, &g, &h, &sample, params.tree, &mut model.importance);
-                    refresh_by_walk(&mut preds, x, &tree, 0..n, params.eta);
-                    tree
-                }
-            };
+            let tree = RegressionTree::fit_binned_in(
+                &mut ws,
+                &binned,
+                &g,
+                &h,
+                &sample,
+                params.tree,
+                &mut model.importance,
+            );
+            if ws.separates() {
+                refresh_from_leaves(&mut preds, x, &tree, &ws, &sample, params.eta);
+            } else {
+                refresh_by_walk(&mut preds, x, &tree, 0..n, params.eta);
+            }
             model.trees.push(tree);
             let mse = preds.iter().zip(y).map(|(p, t)| (p - t).powi(2)).sum::<f64>() / n as f64;
             model.train_loss.push(mse);
@@ -168,7 +148,8 @@ impl Gbdt {
     /// `contribs` needs one slot per feature; it is zeroed first. The
     /// invariant `bias + Σ contribs == prediction` holds bitwise when
     /// folded in slice order.
-    pub fn explain_one(&self, row: &[f64], contribs: &mut [f64]) -> (f64, f64) {
+    #[cfg(test)]
+    pub(crate) fn explain_one(&self, row: &[f64], contribs: &mut [f64]) -> (f64, f64) {
         contribs.fill(0.0);
         let mut acc = 0.0;
         let mut bias_raw = 0.0;
@@ -202,7 +183,8 @@ impl Gbdt {
     }
 
     /// Predict many rows.
-    pub fn predict(&self, x: &[Vec<f64>]) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn predict(&self, x: &[Vec<f64>]) -> Vec<f64> {
         x.iter().map(|r| self.predict_one(r)).collect()
     }
 
@@ -374,22 +356,6 @@ mod tests {
         let b = Gbdt::fit(&x, &y, &p);
         for row in &x {
             assert_eq!(a.predict_one(row), b.predict_one(row));
-        }
-    }
-
-    #[test]
-    fn exact_and_histogram_agree_on_clean_signal() {
-        // Both engines fit the same noiseless low-cardinality target; they
-        // must agree closely at the prediction level even though boosted
-        // parity is not bitwise.
-        let x: Vec<Vec<f64>> = (0..400).map(|i| vec![(i % 12) as f64, (i % 5) as f64]).collect();
-        let y: Vec<f64> = x.iter().map(|r| 10.0 * r[0] + r[1] * r[1]).collect();
-        let base = GbdtParams { n_rounds: 80, subsample: 1.0, ..Default::default() };
-        let hist = Gbdt::fit(&x, &y, &base);
-        let exact = Gbdt::fit(&x, &y, &GbdtParams { split: SplitStrategy::Exact, ..base });
-        for (row, t) in x.iter().zip(&y) {
-            let (ph, pe) = (hist.predict_one(row), exact.predict_one(row));
-            assert!((ph - pe).abs() < 1e-6 * (1.0 + t.abs()), "hist {ph} vs exact {pe}");
         }
     }
 

@@ -6,9 +6,9 @@
 //! * [`LinearRegression`] — OLS/ridge via normal equations (§5.1);
 //! * [`Gbdt`] — second-order gradient-boosted regression trees with
 //!   shrinkage, subsampling, and gain importance, standing in for XGBoost
-//!   (§5.2). Trains on quantile-binned histograms by default
-//!   ([`BinnedMatrix`], [`SplitStrategy`]), with the exact greedy trainer
-//!   kept as the parity reference;
+//!   (§5.2). Trains on quantile-binned histograms ([`BinnedMatrix`]); an
+//!   exact greedy trainer stays in the property tests as the parity
+//!   oracle;
 //! * [`metrics`] — MdAPE and friends (Figures 10, 11, 13);
 //! * [`pearson`] / [`mic()`](mic()) — the linear and maximal-information
 //!   correlations of Table 5;
@@ -42,6 +42,6 @@ pub use metrics::{
 pub use mic::mic;
 pub use nodearray::{exact_reconcile, NodeArrayForest};
 pub use optimize::{nelder_mead, Minimum};
-pub use tree::{RegressionTree, SplitStrategy, TreeParams};
+pub use tree::{RegressionTree, TreeParams};
 pub use validate::{cross_validate, kfold_indices};
 pub use weibull::WeibullCurve;

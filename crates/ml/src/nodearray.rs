@@ -6,7 +6,7 @@
 //! [`NodeArrayForest`] re-lays the whole ensemble out once, after
 //! training, as three parallel arrays (structure-of-arrays):
 //!
-//! * `feature[i]` — split feature index, or [`LEAF`] for leaves;
+//! * `feature[i]` — split feature index, or the `LEAF` sentinel for leaves;
 //! * `threshold[i]` — split threshold, or the *leaf value* for leaves;
 //! * `child[i]` — absolute index of the left child; the right child is
 //!   always `child[i] + 1` (children are re-numbered to be adjacent).
@@ -274,7 +274,6 @@ impl NodeArrayForest {
 mod tests {
     use super::*;
     use crate::gbdt::GbdtParams;
-    use crate::tree::SplitStrategy;
 
     fn synth(n: usize, f: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
         let x: Vec<Vec<f64>> = (0..n)
@@ -293,11 +292,15 @@ mod tests {
         (x, y)
     }
 
+    /// The default 256 bins, and lossless bins (every distinct value its
+    /// own bin), whose thresholds are exact greedy search's midpoints.
+    const BIN_COUNTS: [usize; 2] = [256, 1 << 16];
+
     #[test]
     fn flat_predictions_are_bitwise_equal_to_arena() {
         let (x, y) = synth(500, 6);
-        for split in [SplitStrategy::Histogram, SplitStrategy::Exact] {
-            let params = GbdtParams { n_rounds: 25, split, ..Default::default() };
+        for max_bins in BIN_COUNTS {
+            let params = GbdtParams { n_rounds: 25, max_bins, ..Default::default() };
             let model = Gbdt::fit(&x, &y, &params);
             let flat = NodeArrayForest::from_gbdt(&model);
             assert_eq!(flat.n_trees(), model.n_trees());
@@ -306,13 +309,13 @@ mod tests {
                 assert_eq!(
                     flat.predict_row(row).to_bits(),
                     model.predict_one(row).to_bits(),
-                    "{split:?} row {row:?}"
+                    "max_bins {max_bins} row {row:?}"
                 );
             }
             let batched = flat.predict(&x);
             let reference = model.predict(&x);
             for (a, b) in batched.iter().zip(&reference) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{split:?} batched");
+                assert_eq!(a.to_bits(), b.to_bits(), "max_bins {max_bins} batched");
             }
         }
     }
@@ -354,18 +357,18 @@ mod tests {
     #[test]
     fn explain_reconstructs_prediction_bitwise() {
         let (x, y) = synth(400, 6);
-        for split in [SplitStrategy::Histogram, SplitStrategy::Exact] {
-            let params = GbdtParams { n_rounds: 20, split, ..Default::default() };
+        for max_bins in BIN_COUNTS {
+            let params = GbdtParams { n_rounds: 20, max_bins, ..Default::default() };
             let model = Gbdt::fit(&x, &y, &params);
             let flat = NodeArrayForest::from_gbdt(&model);
             let mut contribs = vec![0.0; 6];
             for row in &x {
                 let (bias, pred) = flat.explain_into(row, &mut contribs);
-                assert_eq!(pred.to_bits(), flat.predict_row(row).to_bits(), "{split:?}");
+                assert_eq!(pred.to_bits(), flat.predict_row(row).to_bits(), "max_bins {max_bins}");
                 let folded = contribs.iter().fold(bias, |a, &c| a + c);
-                assert_eq!(folded.to_bits(), pred.to_bits(), "{split:?} row {row:?}");
+                assert_eq!(folded.to_bits(), pred.to_bits(), "max_bins {max_bins} row {row:?}");
                 // The attribution is non-trivial: some feature got credit.
-                assert!(contribs.iter().any(|&c| c != 0.0), "{split:?}");
+                assert!(contribs.iter().any(|&c| c != 0.0), "max_bins {max_bins}");
             }
         }
     }

@@ -1,12 +1,13 @@
-//! Property-based parity tests for the training engine.
+//! Property-based parity tests for the training engine, and the oracles
+//! they compare it with.
 //!
 //! The load-bearing property: whenever every feature has at most
 //! `max_bins` distinct values, quantization is lossless and the histogram
 //! trainer must produce the **identical** tree to the exact greedy
-//! trainer — same splits, same thresholds, same leaf values, same
-//! importance. Cases use integer-valued gradients so all partial sums are
-//! exactly representable and floating-point associativity cannot blur the
-//! comparison.
+//! trainer, [`exact`] — same splits, same thresholds, same leaf values,
+//! same importance. Cases use integer-valued gradients so all partial sums
+//! are exactly representable and floating-point associativity cannot blur
+//! the comparison.
 //!
 //! A second oracle, [`dense`], is a histogram trainer without occupancy
 //! bitmaps: it zeroes, subtracts and scans every bin of every node. With
@@ -14,19 +15,131 @@
 //! must grow bit-for-bit the same trees.
 //!
 //! A third, [`boost_twin`], is the boosting loop without the per-fit
-//! workspace: every tree grown by the dense trainer and every row's
-//! prediction refreshed by walking the tree by value. `Gbdt::fit`, which
-//! refreshes training rows from the leaves' row ranges, must fit
-//! bit-for-bit the same model.
+//! workspace, over either tree trainer: every row's prediction refreshed
+//! by walking the tree by value. Over the dense trainer, `Gbdt::fit`,
+//! which refreshes training rows from the leaves' row ranges, must fit
+//! bit-for-bit the same model. Over the exact trainer it is the exact
+//! boosted engine, which `Gbdt::fit` must track on training loss and
+//! predictions.
 
 #![cfg(test)]
 
 use crate::binning::BinnedMatrix;
 use crate::gbdt::{Gbdt, GbdtParams};
 use crate::nodearray::NodeArrayForest;
-use crate::tree::{Node, RegressionTree, SplitStrategy, TreeParams, TreeWorkspace};
+use crate::tree::{Node, RegressionTree, TreeParams, TreeWorkspace};
 use proptest::collection::vec;
 use proptest::prelude::*;
+
+/// The exact greedy trainer: each node scans every feature's rows in
+/// sorted order and splits halfway between adjacent distinct values, then
+/// stably partitions every sorted column by the chosen split. O(rows ·
+/// features) per node, with per-node allocations.
+mod exact {
+    use crate::tree::{Node, TreeParams};
+
+    struct Builder<'a> {
+        x: &'a [Vec<f64>],
+        g: &'a [f64],
+        h: &'a [f64],
+        params: TreeParams,
+        nodes: Vec<Node>,
+        importance: &'a mut [f64],
+    }
+
+    impl Builder<'_> {
+        /// Grow a node over `sorted[f]` = node's sample indices sorted by
+        /// feature `f`. Returns the node's arena index.
+        fn grow(&mut self, sorted: Vec<Vec<usize>>, depth: usize) -> usize {
+            let idx = &sorted[0];
+            let g_sum: f64 = idx.iter().map(|&i| self.g[i]).sum();
+            let h_sum: f64 = idx.iter().map(|&i| self.h[i]).sum();
+            let leaf_value = -g_sum / (h_sum + self.params.lambda);
+            let make_leaf = |b: &mut Self| {
+                b.nodes.push(Node::Leaf { value: leaf_value });
+                b.nodes.len() - 1
+            };
+            if depth >= self.params.max_depth || idx.len() < 2 {
+                return make_leaf(self);
+            }
+            let parent_score = g_sum * g_sum / (h_sum + self.params.lambda);
+            let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
+            for (f, order) in sorted.iter().enumerate() {
+                let mut gl = 0.0;
+                let mut hl = 0.0;
+                for w in order.windows(2) {
+                    let (i, j) = (w[0], w[1]);
+                    gl += self.g[i];
+                    hl += self.h[i];
+                    let (vi, vj) = (self.x[i][f], self.x[j][f]);
+                    if vj <= vi {
+                        continue; // no valid threshold between equal values
+                    }
+                    let gr = g_sum - gl;
+                    let hr = h_sum - hl;
+                    if hl < self.params.min_child_weight || hr < self.params.min_child_weight {
+                        continue;
+                    }
+                    let gain = 0.5
+                        * (gl * gl / (hl + self.params.lambda)
+                            + gr * gr / (hr + self.params.lambda)
+                            - parent_score)
+                        - self.params.gamma;
+                    if gain > best.map_or(0.0, |b| b.0) {
+                        best = Some((gain, f, 0.5 * (vi + vj)));
+                    }
+                }
+            }
+            let Some((gain, feature, threshold)) = best else {
+                return make_leaf(self);
+            };
+            self.importance[feature] += gain;
+            // Stable partition of every sorted column by the chosen split.
+            let mut left_cols = Vec::with_capacity(sorted.len());
+            let mut right_cols = Vec::with_capacity(sorted.len());
+            for order in &sorted {
+                let (l, r): (Vec<usize>, Vec<usize>) =
+                    order.iter().partition(|&&i| self.x[i][feature] <= threshold);
+                left_cols.push(l);
+                right_cols.push(r);
+            }
+            drop(sorted);
+            let slot = self.nodes.len();
+            self.nodes.push(Node::Leaf { value: 0.0 }); // placeholder
+            let left = self.grow(left_cols, depth + 1);
+            let right = self.grow(right_cols, depth + 1);
+            self.nodes[slot] = Node::Split { feature, threshold, left, right, value: leaf_value };
+            slot
+        }
+    }
+
+    /// Fit on rows `indices` of `x` with gradients `g` and Hessians `h`;
+    /// returns the node arena. Split gains are added into `importance`.
+    pub(super) fn fit(
+        x: &[Vec<f64>],
+        g: &[f64],
+        h: &[f64],
+        indices: &[usize],
+        params: TreeParams,
+        importance: &mut [f64],
+    ) -> Vec<Node> {
+        let n_features = x.first().map_or(0, |r| r.len());
+        if indices.is_empty() || n_features == 0 {
+            return vec![Node::Leaf { value: 0.0 }];
+        }
+        // Presort each feature column once.
+        let sorted = (0..n_features)
+            .map(|f| {
+                let mut order = indices.to_vec();
+                order.sort_by(|&a, &b| x[a][f].partial_cmp(&x[b][f]).expect("finite features"));
+                order
+            })
+            .collect();
+        let mut builder = Builder { x, g, h, params, nodes: Vec::new(), importance };
+        builder.grow(sorted, 0);
+        builder.nodes
+    }
+}
 
 /// The dense histogram trainer: the same growth, partition and arithmetic
 /// as [`RegressionTree::fit_binned`], over histograms that are zeroed,
@@ -206,11 +319,9 @@ mod dense {
     }
 }
 
-/// The boosting loop without the per-fit workspace: per-node histograms
-/// (the dense trainer), column-at-a-time fill, a branchy partition, and a
-/// refresh that walks every row through every tree.
+/// The boosting loop without the per-fit workspace, over any tree trainer:
+/// a refresh that walks every row through every tree.
 mod boost_twin {
-    use super::dense;
     use crate::binning::BinnedMatrix;
     use crate::gbdt::GbdtParams;
     use crate::tree::Node;
@@ -220,9 +331,17 @@ mod boost_twin {
     /// A fitted model's parts, as `Gbdt` holds them.
     pub(super) struct Fit {
         pub base_score: f64,
+        pub eta: f64,
         pub trees: Vec<Vec<Node>>,
         pub importance: Vec<f64>,
         pub train_loss: Vec<f64>,
+    }
+
+    impl Fit {
+        /// Predict one row, summing in `Gbdt::predict_one`'s order.
+        pub fn predict_one(&self, row: &[f64]) -> f64 {
+            self.base_score + self.eta * self.trees.iter().map(|t| walk(t, row)).sum::<f64>()
+        }
     }
 
     fn walk(nodes: &[Node], row: &[f64]) -> f64 {
@@ -237,13 +356,20 @@ mod boost_twin {
         }
     }
 
-    pub(super) fn fit(x: &[Vec<f64>], y: &[f64], params: &GbdtParams) -> Fit {
+    /// Boost `params.n_rounds` trees, each grown by
+    /// `grow(gradients, hessians, sample, importance)`.
+    pub(super) fn fit(
+        x: &[Vec<f64>],
+        y: &[f64],
+        params: &GbdtParams,
+        mut grow: impl FnMut(&[f64], &[f64], &[usize], &mut [f64]) -> Vec<Node>,
+    ) -> Fit {
         let n = x.len();
         let base_score = y.iter().sum::<f64>() / n as f64;
-        let binned = BinnedMatrix::build(x, params.max_bins);
         let mut rng = StdRng::seed_from_u64(params.seed);
         let mut fit = Fit {
             base_score,
+            eta: params.eta,
             trees: Vec::new(),
             importance: vec![0.0; x[0].len()],
             train_loss: Vec::new(),
@@ -260,7 +386,7 @@ mod boost_twin {
             if indices.is_empty() {
                 continue;
             }
-            let nodes = dense::fit(&binned, &g, &h, &indices, params.tree, &mut fit.importance);
+            let nodes = grow(&g, &h, &indices, &mut fit.importance);
             for (p, row) in preds.iter_mut().zip(x) {
                 *p += params.eta * walk(&nodes, row);
             }
@@ -270,13 +396,25 @@ mod boost_twin {
         }
         fit
     }
+
+    /// `Gbdt::fit`'s oracle: per-node dense histograms, column-at-a-time
+    /// fill and a branchy partition over the fit's binned matrix.
+    pub(super) fn dense(x: &[Vec<f64>], y: &[f64], params: &GbdtParams) -> Fit {
+        let binned = BinnedMatrix::build(x, params.max_bins);
+        fit(x, y, params, |g, h, idx, imp| super::dense::fit(&binned, g, h, idx, params.tree, imp))
+    }
+
+    /// The exact boosted engine: exact greedy trees on the raw values.
+    pub(super) fn exact(x: &[Vec<f64>], y: &[f64], params: &GbdtParams) -> Fit {
+        fit(x, y, params, |g, h, idx, imp| super::exact::fit(x, g, h, idx, params.tree, imp))
+    }
 }
 
-/// Assert that `Gbdt::fit` and [`boost_twin::fit`] fit the same model,
+/// Assert that `Gbdt::fit` and [`boost_twin::dense`] fit the same model,
 /// every float compared by its bits.
 fn assert_fits_like_twin(x: &[Vec<f64>], y: &[f64], params: &GbdtParams) {
     let model = Gbdt::fit(x, y, params);
-    let twin = boost_twin::fit(x, y, params);
+    let twin = boost_twin::dense(x, y, params);
     let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
     prop_assert_eq!(model.base_score().to_bits(), twin.base_score.to_bits());
     let trees: Vec<_> = model.trees().iter().map(|t| node_bits(t.nodes())).collect();
@@ -352,7 +490,6 @@ fn arb_boost_case() -> impl Strategy<Value = BoostCase> {
                             tree: TreeParams { max_depth, min_child_weight, lambda: 1.0, gamma },
                             seed,
                             max_bins,
-                            split: SplitStrategy::Histogram,
                         },
                     }
                 },
@@ -502,6 +639,22 @@ fn boosting_loop_matches_its_twin_on_a_non_separating_split() {
     }
 }
 
+#[test]
+fn exact_and_histogram_agree_on_clean_signal() {
+    // Both engines fit the same noiseless low-cardinality target; they
+    // must agree closely at the prediction level even though boosted
+    // parity is not bitwise.
+    let x: Vec<Vec<f64>> = (0..400).map(|i| vec![(i % 12) as f64, (i % 5) as f64]).collect();
+    let y: Vec<f64> = x.iter().map(|r| 10.0 * r[0] + r[1] * r[1]).collect();
+    let params = GbdtParams { n_rounds: 80, subsample: 1.0, ..Default::default() };
+    let hist = Gbdt::fit(&x, &y, &params);
+    let exact = boost_twin::exact(&x, &y, &params);
+    for (row, t) in x.iter().zip(&y) {
+        let (ph, pe) = (hist.predict_one(row), exact.predict_one(row));
+        assert!((ph - pe).abs() < 1e-6 * (1.0 + t.abs()), "hist {ph} vs exact {pe}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -532,13 +685,16 @@ proptest! {
         let n_features = x[0].len();
 
         let mut imp_exact = vec![0.0; n_features];
-        let exact = RegressionTree::fit(&x, &g, &h, &idx, params, &mut imp_exact);
+        let exact = exact::fit(&x, &g, &h, &idx, params, &mut imp_exact);
 
         let binned = BinnedMatrix::build(&x, 256);
         let mut imp_hist = vec![0.0; n_features];
         let hist = RegressionTree::fit_binned(&binned, &g, &h, &idx, params, &mut imp_hist);
 
-        prop_assert_eq!(&exact, &hist, "trees differ:\n exact {:?}\n hist {:?}", exact, hist);
+        prop_assert_eq!(
+            exact.as_slice(), hist.nodes(),
+            "trees differ:\n exact {:?}\n hist {:?}", exact, hist
+        );
         prop_assert_eq!(&imp_exact, &imp_hist);
     }
 
@@ -578,9 +734,9 @@ proptest! {
             .map(|r| r.iter().map(|&c| c as f64).collect())
             .collect();
         let y: Vec<f64> = targets.iter().take(x.len()).map(|&t| t as f64).collect();
-        let base = GbdtParams { n_rounds: 12, subsample: 1.0, ..GbdtParams::default() };
-        let hist = Gbdt::fit(&x, &y, &GbdtParams { split: SplitStrategy::Histogram, ..base });
-        let exact = Gbdt::fit(&x, &y, &GbdtParams { split: SplitStrategy::Exact, ..base });
+        let params = GbdtParams { n_rounds: 12, subsample: 1.0, ..GbdtParams::default() };
+        let hist = Gbdt::fit(&x, &y, &params);
+        let exact = boost_twin::exact(&x, &y, &params);
         let (lh, le) = (
             *hist.train_loss.last().expect("rounds ran"),
             *exact.train_loss.last().expect("rounds ran"),

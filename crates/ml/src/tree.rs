@@ -7,24 +7,18 @@
 //! gain = ½ [ G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ) ] − γ
 //! ```
 //!
-//! Two trainers share this objective:
-//!
-//! * [`RegressionTree::fit`] — exact greedy search over presorted feature
-//!   columns, re-partitioned per node. O(rows · features) per node with
-//!   per-node allocations; kept as the ground-truth reference
-//!   ([`SplitStrategy::Exact`]).
-//! * [`RegressionTree::fit_binned`] — histogram search over a
-//!   [`BinnedMatrix`]: per-node gradient/Hessian histograms (child =
-//!   parent − sibling, so only the smaller child is ever accumulated),
-//!   all features' histograms in one flat set with an occupancy bitmap,
-//!   filled in one pass over the node's rows, so fill, subtraction, scan
-//!   and reuse cost O(rows in the node × features + bins / 64) rather
-//!   than O(features × bins), and a branch-free stable in-place partition
-//!   of one index buffer. A boosting fit keeps the index buffer, the
-//!   partition scratch and the histogram sets in one `TreeWorkspace`
-//!   across its trees. Single-threaded: callers parallelize across whole
-//!   fits (edges, folds, grid points). The production default
-//!   ([`SplitStrategy::Histogram`]).
+//! The trainer searches histograms over a [`BinnedMatrix`]: per-node
+//! gradient/Hessian histograms (child = parent − sibling, so only the
+//! smaller child is ever accumulated), all features' histograms in one
+//! flat set with an occupancy bitmap, filled in one pass over the node's
+//! rows, so fill, subtraction, scan and reuse cost O(rows in the node ×
+//! features + bins / 64) rather than O(features × bins), and a branch-free
+//! stable in-place partition of one index buffer. A boosting fit keeps the
+//! index buffer, the partition scratch and the histogram sets in one
+//! `TreeWorkspace` across its trees. Single-threaded: callers parallelize
+//! across whole fits (edges, folds, grid points). Its oracles, an exact
+//! greedy trainer and a dense-histogram twin, live in the crate's property
+//! tests.
 //!
 //! Split gains accumulate into a per-feature importance vector — the
 //! circles of the paper's Figure 12.
@@ -33,16 +27,6 @@
 
 use crate::binning::{BinnedColumn, BinnedMatrix};
 use wdt_types::json::{JsonError, JsonValue};
-
-/// How `Gbdt`/tree training searches for splits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SplitStrategy {
-    /// Quantile-binned histogram search (fast path, default).
-    #[default]
-    Histogram,
-    /// Exact greedy search over sorted columns (reference path).
-    Exact,
-}
 
 /// Tree growth parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,13 +61,14 @@ pub(crate) enum Node {
         right: usize,
         /// The leaf value this node *would* have taken had growth stopped
         /// here (−G/(H+λ) over the node's samples) — the "expected value"
-        /// Saabas-style path attribution telescopes over. Both trainers
-        /// compute it anyway before deciding to split, so storing it is
+        /// Saabas-style path attribution telescopes over. The trainer
+        /// computes it anyway before deciding to split, so storing it is
         /// free; prediction never reads it.
         value: f64,
     },
 }
 
+#[cfg(test)]
 impl Node {
     /// The node's expected value: the leaf value, or the would-be leaf
     /// value of a split (see [`Node::Split::value`]).
@@ -99,88 +84,6 @@ impl Node {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegressionTree {
     nodes: Vec<Node>,
-}
-
-struct Builder<'a> {
-    x: &'a [Vec<f64>],
-    g: &'a [f64],
-    h: &'a [f64],
-    params: TreeParams,
-    nodes: Vec<Node>,
-    importance: &'a mut [f64],
-}
-
-impl<'a> Builder<'a> {
-    /// Grow a node over `sorted[f]` = node's sample indices sorted by
-    /// feature `f`. Returns the node's arena index.
-    fn grow(&mut self, sorted: Vec<Vec<usize>>, depth: usize) -> usize {
-        let idx = &sorted[0];
-        let g_sum: f64 = idx.iter().map(|&i| self.g[i]).sum();
-        let h_sum: f64 = idx.iter().map(|&i| self.h[i]).sum();
-        let leaf_value = -g_sum / (h_sum + self.params.lambda);
-        let make_leaf = |b: &mut Self| {
-            b.nodes.push(Node::Leaf { value: leaf_value });
-            b.nodes.len() - 1
-        };
-        if depth >= self.params.max_depth || idx.len() < 2 {
-            return make_leaf(self);
-        }
-        // Exact greedy split search.
-        let parent_score = g_sum * g_sum / (h_sum + self.params.lambda);
-        let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
-        for (f, order) in sorted.iter().enumerate() {
-            let mut gl = 0.0;
-            let mut hl = 0.0;
-            for w in order.windows(2) {
-                let (i, j) = (w[0], w[1]);
-                gl += self.g[i];
-                hl += self.h[i];
-                let (vi, vj) = (self.x[i][f], self.x[j][f]);
-                if vj <= vi {
-                    continue; // no valid threshold between equal values
-                }
-                let gr = g_sum - gl;
-                let hr = h_sum - hl;
-                if hl < self.params.min_child_weight || hr < self.params.min_child_weight {
-                    continue;
-                }
-                let gain = 0.5
-                    * (gl * gl / (hl + self.params.lambda) + gr * gr / (hr + self.params.lambda)
-                        - parent_score)
-                    - self.params.gamma;
-                if gain > best.map_or(0.0, |b| b.0) {
-                    best = Some((gain, f, 0.5 * (vi + vj)));
-                }
-            }
-        }
-        let Some((gain, feature, threshold)) = best else {
-            return make_leaf(self);
-        };
-        self.importance[feature] += gain;
-        // Stable partition of every sorted column by the chosen split.
-        let mut left_cols = Vec::with_capacity(sorted.len());
-        let mut right_cols = Vec::with_capacity(sorted.len());
-        for order in &sorted {
-            let mut l = Vec::new();
-            let mut r = Vec::new();
-            for &i in order {
-                if self.x[i][feature] <= threshold {
-                    l.push(i);
-                } else {
-                    r.push(i);
-                }
-            }
-            left_cols.push(l);
-            right_cols.push(r);
-        }
-        drop(sorted);
-        let slot = self.nodes.len();
-        self.nodes.push(Node::Leaf { value: 0.0 }); // placeholder
-        let left = self.grow(left_cols, depth + 1);
-        let right = self.grow(right_cols, depth + 1);
-        self.nodes[slot] = Node::Split { feature, threshold, left, right, value: leaf_value };
-        slot
-    }
 }
 
 /// One cell of a node histogram: summed gradients, Hessians, and count.
@@ -310,8 +213,8 @@ fn fill_hist(
 
 /// Scan one feature's histogram (its `cells` and `words`) for its best
 /// split. Candidate thresholds sit halfway between the observed value
-/// ranges of in-node-adjacent non-empty bins — exactly the midpoints the
-/// exact trainer uses whenever each distinct value has its own bin. The
+/// ranges of in-node-adjacent non-empty bins — exactly the midpoints of
+/// exact greedy search whenever each distinct value has its own bin. The
 /// set bits are exactly the non-empty bins, in ascending order.
 fn search_feature(
     col: &BinnedColumn,
@@ -362,7 +265,7 @@ fn search_feature(
 }
 
 /// Best split across all features, taken in ascending feature order with
-/// a strict `>` — the same fixed tie-break as the exact trainer's loop.
+/// a strict `>` — the same fixed tie-break as exact greedy search.
 fn search_splits(
     binned: &BinnedMatrix,
     offsets: &[usize],
@@ -541,16 +444,9 @@ impl HistBuilder<'_> {
 }
 
 impl RegressionTree {
-    /// Fit on rows `indices` of the pre-quantized matrix `binned` with
-    /// gradients `g` and Hessians `h` — the histogram counterpart of
-    /// [`RegressionTree::fit`]. Split gains are added into `importance`.
-    ///
-    /// Whenever every feature has at most `max_bins` distinct values the
-    /// quantization is lossless and this produces the identical tree to
-    /// the exact trainer (see the parity property tests); otherwise
-    /// thresholds come from bin boundaries, the standard histogram
-    /// approximation.
-    pub fn fit_binned(
+    /// [`RegressionTree::fit_binned_in`] on a fresh workspace.
+    #[cfg(test)]
+    pub(crate) fn fit_binned(
         binned: &BinnedMatrix,
         g: &[f64],
         h: &[f64],
@@ -562,9 +458,17 @@ impl RegressionTree {
         Self::fit_binned_in(&mut ws, binned, g, h, indices, params, importance)
     }
 
-    /// [`RegressionTree::fit_binned`] on buffers kept across the trees of
-    /// one fit; `ws` must have been made for `binned`. Afterwards `ws`
-    /// holds the tree's leaf row ranges ([`TreeWorkspace::leaf_rows`]).
+    /// Fit on rows `indices` of the pre-quantized matrix `binned` with
+    /// gradients `g` and Hessians `h`, on buffers kept across the trees of
+    /// one fit; `ws` must have been made for `binned`. Split gains are
+    /// added into `importance`. Afterwards `ws` holds the tree's leaf row
+    /// ranges ([`TreeWorkspace::leaf_rows`]).
+    ///
+    /// Whenever every feature has at most `max_bins` distinct values the
+    /// quantization is lossless and this grows the identical tree to the
+    /// exact greedy trainer (see the parity property tests); otherwise
+    /// thresholds come from bin boundaries, the standard histogram
+    /// approximation.
     pub(crate) fn fit_binned_in(
         ws: &mut TreeWorkspace,
         binned: &BinnedMatrix,
@@ -600,36 +504,6 @@ impl RegressionTree {
         let n = indices.len();
         let mut builder = HistBuilder { binned, g, h, params, nodes: Vec::new(), importance, ws };
         let root = builder.grow(0, n, hist, g_sum, h_sum, 0);
-        debug_assert_eq!(root, 0);
-        RegressionTree { nodes: builder.nodes }
-    }
-
-    /// Fit on rows `indices` of `x` with gradients `g` and Hessians `h`.
-    /// Split gains are added into `importance` (length = feature count).
-    pub fn fit(
-        x: &[Vec<f64>],
-        g: &[f64],
-        h: &[f64],
-        indices: &[usize],
-        params: TreeParams,
-        importance: &mut [f64],
-    ) -> Self {
-        assert_eq!(x.len(), g.len());
-        assert_eq!(x.len(), h.len());
-        let n_features = x.first().map_or(0, |r| r.len());
-        assert_eq!(importance.len(), n_features);
-        if indices.is_empty() || n_features == 0 {
-            return RegressionTree { nodes: vec![Node::Leaf { value: 0.0 }] };
-        }
-        // Presort each feature column once.
-        let mut sorted = Vec::with_capacity(n_features);
-        for f in 0..n_features {
-            let mut order = indices.to_vec();
-            order.sort_by(|&a, &b| x[a][f].partial_cmp(&x[b][f]).expect("finite features"));
-            sorted.push(order);
-        }
-        let mut builder = Builder { x, g, h, params, nodes: Vec::new(), importance };
-        let root = builder.grow(sorted, 0);
         debug_assert_eq!(root, 0);
         RegressionTree { nodes: builder.nodes }
     }
@@ -722,6 +596,19 @@ mod tests {
         (y.iter().map(|v| -v).collect(), vec![1.0; y.len()])
     }
 
+    /// One tree grown by the production trainer on `x` binned losslessly.
+    fn fit(
+        x: &[Vec<f64>],
+        g: &[f64],
+        h: &[f64],
+        idx: &[usize],
+        params: TreeParams,
+        importance: &mut [f64],
+    ) -> RegressionTree {
+        let binned = BinnedMatrix::build(x, 256);
+        RegressionTree::fit_binned(&binned, g, h, idx, params, importance)
+    }
+
     #[test]
     fn single_leaf_on_constant_target() {
         let x: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
@@ -729,7 +616,7 @@ mod tests {
         let (g, h) = grads(&y);
         let idx: Vec<usize> = (0..10).collect();
         let mut imp = vec![0.0; 1];
-        let t = RegressionTree::fit(&x, &g, &h, &idx, TreeParams::default(), &mut imp);
+        let t = fit(&x, &g, &h, &idx, TreeParams::default(), &mut imp);
         assert_eq!(t.node_count(), 1);
         // Leaf value shrunk slightly by λ: 70/(10+1).
         assert!((t.predict_one(&[5.0]) - 70.0 / 11.0).abs() < 1e-12);
@@ -744,7 +631,7 @@ mod tests {
         let idx: Vec<usize> = (0..20).collect();
         let mut imp = vec![0.0; 1];
         let params = TreeParams { lambda: 0.0, ..Default::default() };
-        let t = RegressionTree::fit(&x, &g, &h, &idx, params, &mut imp);
+        let t = fit(&x, &g, &h, &idx, params, &mut imp);
         assert!((t.predict_one(&[3.0]) + 5.0).abs() < 1e-9);
         assert!((t.predict_one(&[15.0]) - 5.0).abs() < 1e-9);
         assert!(imp[0] > 0.0);
@@ -759,7 +646,7 @@ mod tests {
         let (g, h) = grads(&y);
         let idx: Vec<usize> = (0..40).collect();
         let mut imp = vec![0.0; 2];
-        let t = RegressionTree::fit(&x, &g, &h, &idx, TreeParams::default(), &mut imp);
+        let t = fit(&x, &g, &h, &idx, TreeParams::default(), &mut imp);
         assert!(imp[1] > imp[0], "importance {imp:?}");
         assert!(t.predict_one(&[0.0, 1.0]) > t.predict_one(&[0.0, 0.0]));
     }
@@ -772,7 +659,7 @@ mod tests {
         let idx: Vec<usize> = (0..64).collect();
         let mut imp = vec![0.0; 1];
         let params = TreeParams { max_depth: 2, ..Default::default() };
-        let t = RegressionTree::fit(&x, &g, &h, &idx, params, &mut imp);
+        let t = fit(&x, &g, &h, &idx, params, &mut imp);
         // Depth 2 → at most 7 nodes.
         assert!(t.node_count() <= 7, "{}", t.node_count());
     }
@@ -787,7 +674,7 @@ mod tests {
         let idx: Vec<usize> = (0..10).collect();
         let mut imp = vec![0.0; 1];
         let params = TreeParams { min_child_weight: 3.0, max_depth: 1, ..Default::default() };
-        let t = RegressionTree::fit(&x, &g, &h, &idx, params, &mut imp);
+        let t = fit(&x, &g, &h, &idx, params, &mut imp);
         if let Node::Split { threshold, .. } = &t.nodes[0] {
             // The split cannot isolate fewer than 3 samples on either side.
             assert!(*threshold >= 2.0 && *threshold <= 7.0, "threshold {threshold}");
@@ -803,14 +690,14 @@ mod tests {
         let idx: Vec<usize> = (0..20).collect();
         let mut imp = vec![0.0; 1];
         let params = TreeParams { gamma: 1e6, ..Default::default() };
-        let t = RegressionTree::fit(&x, &g, &h, &idx, params, &mut imp);
+        let t = fit(&x, &g, &h, &idx, params, &mut imp);
         assert_eq!(t.node_count(), 1, "γ should forbid all splits");
     }
 
     #[test]
     fn empty_index_set_predicts_zero() {
         let x: Vec<Vec<f64>> = vec![vec![1.0]];
-        let t = RegressionTree::fit(&x, &[0.0], &[1.0], &[], TreeParams::default(), &mut [0.0]);
+        let t = fit(&x, &[0.0], &[1.0], &[], TreeParams::default(), &mut [0.0]);
         assert_eq!(t.predict_one(&[1.0]), 0.0);
     }
 }

@@ -4,7 +4,7 @@
 //! state — a read buffer feeding the incremental [`RequestParser`], a
 //! pending write buffer, and a few flags — and multiplex them over
 //! `poll(2)` (via `shim.rs`). An idle keep-alive connection costs the
-//! bytes of its [`Conn`] struct and one pollfd entry, not a thread;
+//! bytes of its `Conn` struct and one pollfd entry, not a thread;
 //! thread count is fixed at startup regardless of connection count.
 //!
 //! ## Endpoints
@@ -52,7 +52,7 @@
 //! Responses are rendered **at emit time**, in request order, directly
 //! into the connection's `VecDeque<u8>` output ring
 //! ([`render_response_into`] + a reusable body scratch `String`) — a
-//! pipelined burst accumulates there and [`flush_conn`] pushes both ring
+//! pipelined burst accumulates there and `flush_conn` pushes both ring
 //! halves with one `writev(2)` per poll wakeup. In the steady state a
 //! keep-alive `/predict` request allocates nothing: buffers are reused,
 //! the version string is a shared `Arc<str>`, and out-of-order stashing
@@ -150,8 +150,8 @@ struct Completion {
 
 /// Plain-data completion address a `/predict` submission carries into the
 /// batcher: a shared-state handle and four words, no boxed closure,
-/// nothing heap-allocated per request. The batch worker calls
-/// [`ShardSink::deliver`] exactly once.
+/// nothing heap-allocated per request. The batch worker calls its
+/// `deliver` exactly once.
 pub struct ShardSink {
     shared: Arc<ShardShared>,
     token: u64,
@@ -398,13 +398,6 @@ impl EventLoopServer {
     /// True once shutdown has been requested (API call or `POST /shutdown`).
     pub fn stopping(&self) -> bool {
         self.ctx.stopping.load(Ordering::SeqCst)
-    }
-
-    /// Block until shutdown is requested, polling `period`.
-    pub fn wait_until_stopping(&self, period: Duration) {
-        while !self.stopping() {
-            std::thread::sleep(period);
-        }
     }
 
     /// Graceful shutdown: stop accepting, let in-flight requests finish

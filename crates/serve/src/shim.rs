@@ -3,12 +3,11 @@
 //! The vendored-dependency policy rules out the `libc`/`mio`/`socket2`
 //! crates, so the event loop declares the C entry points it needs
 //! directly: `poll(2)` for readiness, `writev(2)` for coalesced
-//! response flushes, and (Linux-only, with graceful fallbacks)
-//! `SO_REUSEPORT` listeners plus `sched_setaffinity(2)` for the
-//! multi-core bench protocol. Struct layouts and flag values for the
-//! POSIX calls are fixed by POSIX and identical across the platforms we
-//! build on (Linux, the BSDs, macOS); `nfds_t` is an unsigned long
-//! everywhere we target. This mirrors the CLI's `signal(2)` shim, the
+//! response flushes, and (Linux-only, with a graceful fallback)
+//! `SO_REUSEPORT` listeners for sharded accept. Struct layouts and flag
+//! values for the POSIX calls are fixed by POSIX and identical across the
+//! platforms we build on (Linux, the BSDs, macOS); `nfds_t` is an
+//! unsigned long everywhere we target. This mirrors the CLI's `signal(2)` shim, the
 //! only other raw libc use in the workspace.
 
 use std::io;
@@ -178,40 +177,6 @@ pub fn reuseport_listener(_port: u16) -> io::Result<std::net::TcpListener> {
     Err(io::Error::new(io::ErrorKind::Unsupported, "SO_REUSEPORT shim is Linux-only"))
 }
 
-/// Pin the calling thread (and every thread it spawns afterwards) to
-/// `cpus` (Linux only). Used by the CLI's `--cores` flag so a bench run
-/// can place the server and the load generator on disjoint cores.
-#[cfg(target_os = "linux")]
-pub fn set_affinity(cpus: &[usize]) -> io::Result<()> {
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-    let mut mask = [0u64; 16]; // up to 1024 CPUs
-    for &c in cpus {
-        if c >= mask.len() * 64 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("cpu {c} out of range (max {})", mask.len() * 64 - 1),
-            ));
-        }
-        mask[c / 64] |= 1 << (c % 64);
-    }
-    // SAFETY: pid 0 = calling thread; the kernel reads `cpusetsize`
-    // bytes from the mask we own.
-    let rc = unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
-    if rc < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(())
-}
-
-/// Non-Linux fallback: affinity control is best-effort tooling for the
-/// bench protocol, not a correctness requirement.
-#[cfg(not(target_os = "linux"))]
-pub fn set_affinity(_cpus: &[usize]) -> io::Result<()> {
-    Err(io::Error::new(io::ErrorKind::Unsupported, "sched_setaffinity shim is Linux-only"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,14 +253,6 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
         assert!(accepted, "connection reached neither reuseport listener");
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn set_affinity_accepts_current_cpu() {
-        // CPU 0 always exists; pinning to it must succeed.
-        set_affinity(&[0]).unwrap();
-        assert!(set_affinity(&[100_000]).is_err(), "out-of-range cpu must be rejected");
     }
 
     #[test]

@@ -105,13 +105,13 @@ pub struct SimStats {
     /// oracle samples every `WDT_CHECK_ORACLE_EVERY`-th performed
     /// reallocation (see [`crate::check::oracle_every`]).
     pub reallocations: u64,
-    /// Wall-clock seconds spent inside [`Simulator::reallocate`].
+    /// Wall-clock seconds spent inside the simulator's `reallocate`.
     pub realloc_time_s: f64,
     /// High-water mark of the waiting (slot-starved) transfer queue.
     pub max_queue_depth: usize,
     /// Invariant-check passes executed (0 unless [`crate::check::enabled`]).
     pub invariant_checks: u64,
-    /// [`AllocScratch`](crate::AllocScratch) calls that found warm buffers
+    /// [`AllocScratch`] calls that found warm buffers
     /// (deterministic; the PR 1 reuse optimization made visible).
     pub scratch_reuses: u64,
     /// Differential-oracle (from-scratch reference allocator) invocations
@@ -127,7 +127,8 @@ pub struct SimStats {
     pub phase_nanos: PhaseNanos,
 }
 
-/// Wall-clock breakdown of [`Simulator::reallocate`] (cumulative nanos).
+/// Wall-clock breakdown of the simulator's `reallocate` (cumulative
+/// nanos).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseNanos {
     /// Draining the dirty list and refreshing capacity entries.

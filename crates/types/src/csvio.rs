@@ -3,7 +3,7 @@
 //! The paper's §7 argues the method applies to any transfer tool whose
 //! logs expose the same fields ("FTP, rsync, scp, bbcp, FDT, XDD"). This
 //! module is the interop seam: a plain CSV schema for
-//! [`TransferRecord`](crate::TransferRecord)s that external logs can be
+//! [`TransferRecord`]s that external logs can be
 //! converted into, and that our tools emit.
 //!
 //! Schema (header required):

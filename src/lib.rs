@@ -73,7 +73,7 @@ pub use wdt_workload as workload;
 pub mod prelude {
     pub use wdt_features::{extract_features, threshold_filter, Dataset, TransferFeatures};
     pub use wdt_geo::SiteCatalog;
-    pub use wdt_ml::{mdape, Gbdt, GbdtParams, LinearRegression, SplitStrategy};
+    pub use wdt_ml::{mdape, Gbdt, GbdtParams, LinearRegression};
     pub use wdt_model::{
         FitConfig, FittedModel, GlobalModel, ModelKind, PerEdgeConfig, SubsystemCeilings,
     };
