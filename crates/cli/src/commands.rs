@@ -61,7 +61,8 @@ pub fn run(args: &Args) -> CmdResult {
     }
 }
 
-/// The help text.
+/// The help text. The literal is laid out as printed: command names at
+/// column 6, their flags and notes at column 16.
 pub fn usage() -> String {
     let d = ServeConfig::default();
     let (acceptors, deadline_ms, explain_top) =
@@ -69,135 +70,137 @@ pub fn usage() -> String {
     let (max_batch, flush_us, queue_cap) =
         (d.batch.max_batch, d.batch.flush.as_micros(), d.batch.queue_cap);
     format!(
-        "wdt — wide-area data transfer performance toolkit\n\
-     \n\
-     USAGE: wdt <command> [--key value ...]\n\
-     \n\
-     COMMANDS\n\
-     simulate  generate a synthetic fleet + workload and simulate it\n\
-               --out FILE [--days N=30] [--heavy-edges N=45] [--sparse-edges N=400]\n\
-               [--seed N=2017] [--bg-intensity X=0.4] [--runs N=4] [--trace FILE]\n\
-               (--runs = independent time shards simulated in parallel;\n\
-                results are bit-identical for any thread count;\n\
-                --trace exports a Chrome/Perfetto trace of the run)\n\
-     census    edge statistics of a log\n\
-               --log FILE [--threshold X=0.5] [--min-transfers N=300]\n\
-     train     fit a transfer-rate model on one edge (or all edges pooled)\n\
-               --log FILE --model OUT [--src N --dst N] [--kind linear|gbdt=gbdt]\n\
-               [--threshold X=0.5] [--tune] [--max-bins N=256] [--trace FILE]\n\
-               (--max-bins 65536 bins any column of at most 65,536\n\
-                distinct values losslessly)\n\
-     predict   predict rates for a log's transfers with a saved model\n\
-               --log FILE --model FILE\n\
-     explain   slowdown triage: attribute the worst-p99 slowdown transfers\n\
-               to signed per-feature rate contributions (path attributions\n\
-               whose fold reconstructs the prediction bitwise)\n\
-               source: --log FILE | --scenario FILE | simulator flags\n\
-               [--days N=3] [--heavy-edges N=6] [--sparse-edges N=30]\n\
-               [--seed N=2017] [--bg-intensity X=0.4] [--runs N=4]\n\
-               model:  [--model FILE] [--threshold X=0.5]\n\
-               output: [--top N=20] [--top-features N=5] [--out FILE]\n\
-               (fits a GBDT on the threshold-filtered log unless --model\n\
-                loads one; each triaged transfer reports bias + per-feature\n\
-                contributions bucketed into competing-load (K*/S*),\n\
-                endpoint (G*), tuning (C/P), and shape features, with the\n\
-                most-negative bucket named as the dominant cause)\n\
-     advise    concurrency-cap advice for an endpoint (Figure 4 analysis)\n\
-               --log FILE --endpoint N\n\
-     serve     online rate-prediction service (HTTP, micro-batched)\n\
-               --model-dir DIR [--port N=8191] [--acceptors N={acceptors}]\n\
-               [--deadline-ms N={deadline_ms}] [--max-batch N={max_batch}]\n\
-               [--flush-us N={flush_us}] [--queue-cap N={queue_cap}]\n\
-               [--explain-top N={explain_top}]\n\
-               (endpoints: POST /predict, POST /explain for a prediction\n\
-                plus its per-feature attributions (--explain-top ranks the\n\
-                N largest), GET /healthz, GET /metrics, GET /metrics.prom\n\
-                for Prometheus text, GET /alerts for the alert ring,\n\
-                POST /reload to hot-swap to the newest model in DIR,\n\
-                POST /shutdown for a graceful stop. All connections are\n\
-                multiplexed over --acceptors poller threads. --deadline-ms\n\
-                answers 408 to requests that stall mid-delivery)\n\
-     loadgen   replay a log's feature vectors against a running server\n\
-               --addr HOST:PORT --log FILE [--requests N=10000]\n\
-               [--mode closed|open=closed] [--concurrency N=8]\n\
-               [--rate X=5000] [--connections N=4] [--pipeline N=1]\n\
-               [--warmup N=0] [--min-rps X] [--out FILE]\n\
-               (closed loop measures capacity; open loop paces arrivals\n\
-                at --rate req/s to measure latency under target load;\n\
-                --pipeline sends N requests per burst on each connection;\n\
-                --warmup discards the first N responses from the latency\n\
-                histogram; --min-rps fails the run if throughput lands\n\
-                below the floor — the CI regression gate)\n\
-     ingest    stream transfer records into the continuous-training\n\
-               pipeline: bounded queue -> log store -> windowed features\n\
-               -> periodic refits with drift detection, each new model\n\
-               hot-swappable into `wdt serve` via POST /reload\n\
-               simulator source (default):\n\
-               [--days N=10] [--heavy-edges N=6] [--sparse-edges N=30]\n\
-               [--seed N=2017] [--bg-intensity X=0.4] [--runs N=4]\n\
-               [--repeat N=1] [--drift-bg X [--drift-days N]]\n\
-               csv source: --from-csv FILE [--follow] [--poll-ms N=50]\n\
-               pipeline:  [--model-dir DIR] [--store-dir DIR]\n\
-               [--window N=50000] [--chunk N=2000] [--queue N=4096]\n\
-               [--drop-newest] [--kind linear|gbdt=gbdt]\n\
-               [--refit-every N=20000] [--min-train N=500]\n\
-               [--drift-threshold X=35] [--drift-patience N=3]\n\
-               checks:    [--notify ADDR] [--golden FILE [--refresh]]\n\
-               [--max-rss-mb N] [--expect-min-records N]\n\
-               [--expect-swaps N] [--alerts-out FILE] [--trace FILE]\n\
-               (--repeat streams N campaigns with consecutive seeds\n\
-                through the one pipeline — soak-scale record volume\n\
-                without one enormous campaign.\n\
-                --drift-bg streams a second campaign phase with shifted\n\
-                background load — a hidden-variable drift the deployed\n\
-                model must be retrained to follow. --store-dir selects\n\
-                the crash-recoverable on-disk segment store; the default\n\
-                is an in-memory ring of --window records. --follow tails\n\
-                the CSV like `tail -f` until SIGINT. --notify POSTs\n\
-                /reload to a serving fleet after every swap. --golden\n\
-                verifies the streamed log's digest against a committed\n\
-                file — proof the stream shed or altered nothing; the\n\
-                --expect-* flags and --max-rss-mb (peak RSS, Linux VmHWM)\n\
-                turn a soak run into a pass/fail CI gate; --alerts-out\n\
-                writes the alert ring — drift and model-swap events —\n\
-                as JSON when the run finishes)\n\
-     check     verify the simulator against its reference oracle and a\n\
-               committed golden-trace digest (see DESIGN.md)\n\
-               --golden FILE [--refresh] [--oracle-cases N=250]\n\
-               [--seed N=2017] [--days N=2] [--heavy-edges N=6]\n\
-               [--sparse-edges N=30] [--runs N=4] [--scenario FILE]\n\
-               [--trace FILE]\n\
-               (runs the campaign twice — parallel and serial — with\n\
-                runtime invariant checks on, then compares the log digest\n\
-                to FILE; --refresh rewrites FILE instead of comparing;\n\
-                --scenario verifies a scenario file's campaign instead of\n\
-                the standard check campaign, ignoring the campaign flags)\n\
-     scenarios sweep a directory of scenario files (see DESIGN.md for the\n\
-               DSL) and report per-scenario model quality\n\
-               --dir DIR [--golden-dir DIR] [--refresh] [--report FILE]\n\
-               [--threshold X=0.5] [--trace FILE]\n\
-               (each *.json in DIR is parsed strictly, simulated with\n\
-                sharded parallelism, trained on, and reported: MdAPE,\n\
-                top feature importances, aggregate throughput, slowdown\n\
-                tail. --golden-dir verifies each scenario's TraceDigest\n\
-                against DIR/<name>.digest — the whole-library golden\n\
-                gate; --refresh rewrites the digests instead. --report\n\
-                writes the per-scenario report as JSON)\n\
-     obs       observability: trace a short campaign and dump the flight\n\
-               recorder + metrics registry, or validate a trace file\n\
-               [--trace FILE] [--out FILE] [--check-trace FILE]\n\
-               [--days N=1] [--heavy-edges N=4] [--sparse-edges N=12]\n\
-               [--seed N=2017] [--runs N=2]\n\
-               (--check-trace structurally validates an existing\n\
-                Chrome-trace JSON and prints a summary; traces load in\n\
-                ui.perfetto.dev or chrome://tracing. WDT_TRACE=1 enables\n\
-                the flight recorder for any command)\n\
-     obs alerts dump the alert ring as JSON: a running server's via\n\
-               --addr (GET /alerts), else this process's\n\
-               [--addr HOST:PORT] [--out FILE]\n\
-     help      this text\n\
-     \n\
-     Unknown --flags are rejected by name; `wdt help` lists every flag.\n"
+        "\
+wdt — wide-area data transfer performance toolkit
+
+USAGE: wdt <command> [--key value ...]
+
+COMMANDS
+     simulate  generate a synthetic fleet + workload and simulate it
+               --out FILE [--days N=30] [--heavy-edges N=45] [--sparse-edges N=400]
+               [--seed N=2017] [--bg-intensity X=0.4] [--runs N=4] [--trace FILE]
+               (--runs = independent time shards simulated in parallel;
+                results are bit-identical for any thread count;
+                --trace exports a Chrome/Perfetto trace of the run)
+     census    edge statistics of a log
+               --log FILE [--threshold X=0.5] [--min-transfers N=300]
+     train     fit a transfer-rate model on one edge (or all edges pooled)
+               --log FILE --model OUT [--src N --dst N] [--kind linear|gbdt=gbdt]
+               [--threshold X=0.5] [--tune] [--max-bins N=256] [--trace FILE]
+               (--max-bins 65536 bins any column of at most 65,536
+                distinct values losslessly)
+     predict   predict rates for a log's transfers with a saved model
+               --log FILE --model FILE
+     explain   slowdown triage: attribute the worst-p99 slowdown transfers
+               to signed per-feature rate contributions (path attributions
+               whose fold reconstructs the prediction bitwise)
+               source: --log FILE | --scenario FILE | simulator flags
+               [--days N=3] [--heavy-edges N=6] [--sparse-edges N=30]
+               [--seed N=2017] [--bg-intensity X=0.4] [--runs N=4]
+               model:  [--model FILE] [--threshold X=0.5]
+               output: [--top N=20] [--top-features N=5] [--out FILE]
+               (fits a GBDT on the threshold-filtered log unless --model
+                loads one; each triaged transfer reports bias + per-feature
+                contributions bucketed into competing-load (K*/S*),
+                endpoint (G*), tuning (C/P), and shape features, with the
+                most-negative bucket named as the dominant cause)
+     advise    concurrency-cap advice for an endpoint (Figure 4 analysis)
+               --log FILE --endpoint N
+     serve     online rate-prediction service (HTTP, micro-batched)
+               --model-dir DIR [--port N=8191] [--acceptors N={acceptors}]
+               [--deadline-ms N={deadline_ms}] [--max-batch N={max_batch}]
+               [--flush-us N={flush_us}] [--queue-cap N={queue_cap}]
+               [--explain-top N={explain_top}]
+               (endpoints: POST /predict, POST /explain for a prediction
+                plus its per-feature attributions (--explain-top ranks the
+                N largest), GET /healthz, GET /metrics, GET /metrics.prom
+                for Prometheus text, GET /alerts for the alert ring,
+                POST /reload to hot-swap to the newest model in DIR,
+                POST /shutdown for a graceful stop. All connections are
+                multiplexed over --acceptors poller threads. --deadline-ms
+                answers 408 to requests that stall mid-delivery)
+     loadgen   replay a log's feature vectors against a running server
+               --addr HOST:PORT --log FILE [--requests N=10000]
+               [--mode closed|open=closed] [--concurrency N=8]
+               [--rate X=5000] [--connections N=4] [--pipeline N=1]
+               [--warmup N=0] [--min-rps X] [--out FILE]
+               (closed loop measures capacity; open loop paces arrivals
+                at --rate req/s to measure latency under target load;
+                --pipeline sends N requests per burst on each connection;
+                --warmup discards the first N responses from the latency
+                histogram; --min-rps fails the run if throughput lands
+                below the floor — the CI regression gate)
+     ingest    stream transfer records into the continuous-training
+               pipeline: bounded queue -> log store -> windowed features
+               -> periodic refits with drift detection, each new model
+               hot-swappable into `wdt serve` via POST /reload
+               simulator source (default):
+               [--days N=10] [--heavy-edges N=6] [--sparse-edges N=30]
+               [--seed N=2017] [--bg-intensity X=0.4] [--runs N=4]
+               [--repeat N=1] [--drift-bg X [--drift-days N]]
+               csv source: --from-csv FILE [--follow] [--poll-ms N=50]
+               pipeline:  [--model-dir DIR] [--store-dir DIR]
+               [--window N=50000] [--chunk N=2000] [--queue N=4096]
+               [--drop-newest] [--kind linear|gbdt=gbdt]
+               [--refit-every N=20000] [--min-train N=500]
+               [--drift-threshold X=35] [--drift-patience N=3]
+               checks:    [--notify ADDR] [--golden FILE [--refresh]]
+               [--max-rss-mb N] [--expect-min-records N]
+               [--expect-swaps N] [--alerts-out FILE] [--trace FILE]
+               (--repeat streams N campaigns with consecutive seeds
+                through the one pipeline — soak-scale record volume
+                without one enormous campaign.
+                --drift-bg streams a second campaign phase with shifted
+                background load — a hidden-variable drift the deployed
+                model must be retrained to follow. --store-dir selects
+                the crash-recoverable on-disk segment store; the default
+                is an in-memory ring of --window records. --follow tails
+                the CSV like `tail -f` until SIGINT. --notify POSTs
+                /reload to a serving fleet after every swap. --golden
+                verifies the streamed log's digest against a committed
+                file — proof the stream shed or altered nothing; the
+                --expect-* flags and --max-rss-mb (peak RSS, Linux VmHWM)
+                turn a soak run into a pass/fail CI gate; --alerts-out
+                writes the alert ring — drift and model-swap events —
+                as JSON when the run finishes)
+     check     verify the simulator against its reference oracle and a
+               committed golden-trace digest (see DESIGN.md)
+               --golden FILE [--refresh] [--oracle-cases N=250]
+               [--seed N=2017] [--days N=2] [--heavy-edges N=6]
+               [--sparse-edges N=30] [--runs N=4] [--scenario FILE]
+               [--trace FILE]
+               (runs the campaign twice — parallel and serial — with
+                runtime invariant checks on, then compares the log digest
+                to FILE; --refresh rewrites FILE instead of comparing;
+                --scenario verifies a scenario file's campaign instead of
+                the standard check campaign, ignoring the campaign flags)
+     scenarios sweep a directory of scenario files (see DESIGN.md for the
+               DSL) and report per-scenario model quality
+               --dir DIR [--golden-dir DIR] [--refresh] [--report FILE]
+               [--threshold X=0.5] [--trace FILE]
+               (each *.json in DIR is parsed strictly, simulated with
+                sharded parallelism, trained on, and reported: MdAPE,
+                top feature importances, aggregate throughput, slowdown
+                tail. --golden-dir verifies each scenario's TraceDigest
+                against DIR/<name>.digest — the whole-library golden
+                gate; --refresh rewrites the digests instead. --report
+                writes the per-scenario report as JSON)
+     obs       observability: trace a short campaign and dump the flight
+               recorder + metrics registry, or validate a trace file
+               [--trace FILE] [--out FILE] [--check-trace FILE]
+               [--days N=1] [--heavy-edges N=4] [--sparse-edges N=12]
+               [--seed N=2017] [--runs N=2]
+               (--check-trace structurally validates an existing
+                Chrome-trace JSON and prints a summary; traces load in
+                ui.perfetto.dev or chrome://tracing. WDT_TRACE=1 enables
+                the flight recorder for any command)
+     obs alerts dump the alert ring as JSON: a running server's via
+               --addr (GET /alerts), else this process's
+               [--addr HOST:PORT] [--out FILE]
+     help      this text
+
+Unknown --flags are rejected by name; `wdt help` lists every flag.
+"
     )
 }
 
@@ -1667,6 +1670,30 @@ mod tests {
         ] {
             assert!(usage().contains(flag), "usage must document {flag}");
         }
+        // Layout: command lines start with five spaces; their flag and
+        // detail lines start at column 16, and the lines continuing a
+        // parenthesised note (a detail line opening with `(`) at 17.
+        let text = usage();
+        assert!(text.contains("\n     simulate  generate a synthetic fleet"));
+        assert!(text.contains("\n               --out FILE [--days N=30]"));
+        let body = text.lines().skip_while(|l| *l != "COMMANDS").skip(1);
+        let mut commands = Vec::new();
+        let mut depth = 0i32;
+        for line in body.take_while(|l| !l.is_empty()) {
+            let indent = line.len() - line.trim_start().len();
+            let want: &[usize] = if depth > 0 { &[16] } else { &[5, 15] };
+            assert!(want.contains(&indent), "indent {indent} for {line:?}, want {want:?}");
+            if indent == 5 {
+                commands.push(line[5..15].trim_end());
+            }
+            if depth > 0 || line.trim_start().starts_with('(') {
+                depth += line.matches('(').count() as i32 - line.matches(')').count() as i32;
+            }
+        }
+        assert_eq!(depth, 0, "unbalanced note");
+        let names = ["simulate", "census", "train", "predict", "explain", "advise", "serve"];
+        let more = ["loadgen", "ingest", "check", "scenarios", "obs", "obs alerts", "help"];
+        assert_eq!(commands, [&names[..], &more[..]].concat());
     }
 
     #[test]

@@ -39,8 +39,8 @@ pub fn concurrency_profile(log: &[TransferRecord], endpoint: EndpointId) -> Vec<
             inst_ivs.push((s, e, procs));
         }
     }
-    let rate = StepIntegral::from_intervals(&rate_ivs);
-    let inst = StepIntegral::from_intervals(&inst_ivs);
+    let rate = StepIntegral::from_intervals(rate_ivs);
+    let inst = StepIntegral::from_intervals(inst_ivs);
 
     // Breakpoints of either function bound the constant segments.
     let mut times: Vec<f64> = rate.times().iter().chain(inst.times()).copied().collect();

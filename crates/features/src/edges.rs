@@ -50,30 +50,43 @@ pub fn edge_census(features: &[TransferFeatures], thresholds: &[usize]) -> Vec<(
     thresholds.iter().map(|&k| (k, stats.values().filter(|s| s.transfers >= k).count())).collect()
 }
 
+/// Each edge's rate floor `threshold · Rmax(edge)`: the slowest rate
+/// [`threshold_filter`] keeps on that edge.
+pub fn rate_floors(features: &[TransferFeatures], threshold: f64) -> BTreeMap<EdgeId, f64> {
+    assert!((0.0..=1.0).contains(&threshold), "threshold must be in [0,1]");
+    edge_stats(features).into_values().map(|s| (s.edge, threshold * s.r_max)).collect()
+}
+
 /// Keep only transfers with `rate ≥ threshold · Rmax(edge)` — the paper's
 /// defense against unknown (non-Globus) competing load (§4.3.2). Returns
-/// owned clones so downstream training sets are self-contained.
+/// owned clones, in log order, so a caller can keep a self-contained
+/// training set; that is a whole-log copy (168 bytes per kept record).
+/// [`eligible_edges`] and `wdt_model::run_per_edge` apply the same
+/// [`rate_floors`] without one.
 pub fn threshold_filter(features: &[TransferFeatures], threshold: f64) -> Vec<TransferFeatures> {
-    assert!((0.0..=1.0).contains(&threshold), "threshold must be in [0,1]");
-    let stats = edge_stats(features);
-    features.iter().filter(|f| f.rate >= threshold * stats[&f.edge].r_max).cloned().collect()
+    let floors = rate_floors(features, threshold);
+    features.iter().filter(|f| f.rate >= floors[&f.edge]).cloned().collect()
 }
 
 /// The edges with at least `min_transfers` transfers above the threshold —
 /// the paper's selection rule for its 30 modeled edges (§5.1: ≥300
-/// transfers with rate > 0.5·Rmax). Sorted by descending sample count.
+/// transfers with rate > 0.5·Rmax). Sorted by descending sample count,
+/// then by edge; an edge with no transfer above the threshold is left out.
+///
+/// Counts the rows [`threshold_filter`] would keep without copying them:
+/// it allocates per edge, not per record.
 pub fn eligible_edges(
     features: &[TransferFeatures],
     threshold: f64,
     min_transfers: usize,
 ) -> Vec<(EdgeId, usize)> {
-    let filtered = threshold_filter(features, threshold);
-    let stats = edge_stats(&filtered);
-    let mut edges: Vec<(EdgeId, usize)> = stats
-        .values()
-        .map(|s| (s.edge, s.transfers))
-        .filter(|&(_, n)| n >= min_transfers)
-        .collect();
+    let floors = rate_floors(features, threshold);
+    let mut kept: BTreeMap<EdgeId, usize> = BTreeMap::new();
+    for f in features.iter().filter(|f| f.rate >= floors[&f.edge]) {
+        *kept.entry(f.edge).or_default() += 1;
+    }
+    let mut edges: Vec<(EdgeId, usize)> =
+        kept.into_iter().filter(|&(_, n)| n >= min_transfers).collect();
     edges.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     edges
 }
@@ -81,6 +94,7 @@ pub fn eligible_edges(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use wdt_types::{EndpointId, TransferId};
 
     fn feat(id: u64, src: u32, dst: u32, rate: f64) -> TransferFeatures {
@@ -155,5 +169,47 @@ mod tests {
         assert_eq!(edges[0].1, 5);
         assert_eq!(edges[1].1, 3);
         assert!(eligible_edges(&fs, 0.5, 4).len() == 1);
+    }
+
+    /// Rows over a handful of edges. Rates on a coarse grid tie with their
+    /// edge's maximum and with its floor; an edge whose rates are all
+    /// negative keeps `Rmax` at 0, so none of its rows reaches the floor.
+    fn arb_features() -> impl Strategy<Value = Vec<TransferFeatures>> {
+        let rate = prop_oneof![(0u32..5).prop_map(|r| f64::from(r) * 25.0), -20.0f64..100.0];
+        proptest::collection::vec((0u32..3, 0u32..3, rate), 0..60).prop_map(|rows| {
+            rows.into_iter()
+                .enumerate()
+                .map(|(i, (src, dst, rate))| feat(i as u64, src, dst, rate))
+                .collect()
+        })
+    }
+
+    /// Oracle: count the rows of a filtered copy.
+    fn eligible_edges_via_copy(
+        features: &[TransferFeatures],
+        threshold: f64,
+        min_transfers: usize,
+    ) -> Vec<(EdgeId, usize)> {
+        let mut edges: Vec<(EdgeId, usize)> = edge_stats(&threshold_filter(features, threshold))
+            .values()
+            .map(|s| (s.edge, s.transfers))
+            .filter(|&(_, n)| n >= min_transfers)
+            .collect();
+        edges.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        edges
+    }
+
+    proptest! {
+        #[test]
+        fn eligible_edges_matches_counting_a_filtered_copy(
+            fs in arb_features(),
+            threshold in prop_oneof![Just(0.0f64), Just(1.0f64), Just(0.5f64), 0.0f64..=1.0],
+            min_transfers in prop_oneof![Just(0usize), 0usize..12],
+        ) {
+            prop_assert_eq!(
+                eligible_edges(&fs, threshold, min_transfers),
+                eligible_edges_via_copy(&fs, threshold, min_transfers)
+            );
+        }
     }
 }

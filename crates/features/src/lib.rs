@@ -25,7 +25,8 @@ pub mod transfer_features;
 
 pub use concurrency::{bucket_by_concurrency, concurrency_profile, ConcurrencySample};
 pub use edges::{
-    edge_census, edge_stats, eligible_edges, group_by_edge, threshold_filter, EdgeStats,
+    edge_census, edge_stats, eligible_edges, group_by_edge, rate_floors, threshold_filter,
+    EdgeStats,
 };
 pub use endpoint_caps::{endpoint_caps, extend_with_caps, extended_feature_names, EndpointCaps};
 pub use matrix::{Dataset, Normalizer};

@@ -14,6 +14,13 @@
 //! transfer's query with two binary searches — `O(n log n)` overall.
 
 /// A piecewise-constant function with a precomputed running integral.
+///
+/// Built once per (endpoint, quantity) by [`StepIntegral::from_intervals`],
+/// which takes its intervals by value, so a caller that hands over an
+/// owned list frees it before the breakpoints are laid out. Every lookup
+/// finds the last breakpoint `≤ x` with one `partition_point`. A profile
+/// holds three `f64`s per breakpoint, at most two breakpoints per
+/// interval: 48 bytes per interval.
 #[derive(Debug, Clone)]
 pub struct StepIntegral {
     /// Breakpoints, strictly increasing.
@@ -26,10 +33,13 @@ pub struct StepIntegral {
 
 impl StepIntegral {
     /// Build from `(start, end, value)` intervals. Zero-length or inverted
-    /// intervals are ignored.
-    pub fn from_intervals(intervals: &[(f64, f64, f64)]) -> Self {
-        let mut events: Vec<(f64, f64)> = Vec::with_capacity(intervals.len() * 2);
-        for &(s, e, v) in intervals {
+    /// intervals are ignored. Intervals are summed in iteration order, so
+    /// the same order gives the same bits whether it comes from a `Vec` or
+    /// a deque.
+    pub fn from_intervals(intervals: impl IntoIterator<Item = (f64, f64, f64)>) -> Self {
+        let intervals = intervals.into_iter();
+        let mut events: Vec<(f64, f64)> = Vec::with_capacity(2 * intervals.size_hint().0);
+        for (s, e, v) in intervals {
             if e > s {
                 events.push((s, v));
                 events.push((e, -v));
@@ -37,8 +47,9 @@ impl StepIntegral {
         }
         events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
 
-        let mut times = Vec::new();
-        let mut values = Vec::new();
+        // At most one breakpoint per event.
+        let mut times = Vec::with_capacity(events.len());
+        let mut values = Vec::with_capacity(events.len());
         let mut level = 0.0f64;
         let mut i = 0;
         while i < events.len() {
@@ -62,16 +73,17 @@ impl StepIntegral {
         StepIntegral { times, values, integral }
     }
 
+    /// Index of the last breakpoint `≤ x`; `x` must not precede the first.
+    fn last_at_or_before(&self, x: f64) -> usize {
+        self.times.partition_point(|&t| t <= x) - 1
+    }
+
     /// ∫ from the first breakpoint to `x`.
     fn cumulative(&self, x: f64) -> f64 {
         if self.times.is_empty() || x <= self.times[0] {
             return 0.0;
         }
-        // Last breakpoint ≤ x.
-        let j = match self.times.binary_search_by(|t| t.partial_cmp(&x).expect("finite")) {
-            Ok(j) => j,
-            Err(ins) => ins - 1,
-        };
+        let j = self.last_at_or_before(x);
         self.integral[j] + self.values[j] * (x - self.times[j])
     }
 
@@ -88,11 +100,7 @@ impl StepIntegral {
         if self.times.is_empty() || t < self.times[0] {
             return 0.0;
         }
-        let j = match self.times.binary_search_by(|x| x.partial_cmp(&t).expect("finite")) {
-            Ok(j) => j,
-            Err(ins) => ins - 1,
-        };
-        self.values[j]
+        self.values[self.last_at_or_before(t)]
     }
 
     /// The breakpoints (useful for time-weighted scans, e.g. Figure 4).
@@ -107,14 +115,14 @@ mod tests {
 
     #[test]
     fn empty_is_zero_everywhere() {
-        let s = StepIntegral::from_intervals(&[]);
+        let s = StepIntegral::from_intervals([]);
         assert_eq!(s.integrate(0.0, 100.0), 0.0);
         assert_eq!(s.value_at(5.0), 0.0);
     }
 
     #[test]
     fn single_interval() {
-        let s = StepIntegral::from_intervals(&[(1.0, 3.0, 5.0)]);
+        let s = StepIntegral::from_intervals([(1.0, 3.0, 5.0)]);
         assert_eq!(s.integrate(1.0, 3.0), 10.0);
         assert_eq!(s.integrate(0.0, 4.0), 10.0);
         assert_eq!(s.integrate(2.0, 4.0), 5.0);
@@ -126,7 +134,7 @@ mod tests {
 
     #[test]
     fn overlapping_intervals_stack() {
-        let s = StepIntegral::from_intervals(&[(0.0, 10.0, 1.0), (5.0, 15.0, 2.0)]);
+        let s = StepIntegral::from_intervals([(0.0, 10.0, 1.0), (5.0, 15.0, 2.0)]);
         assert_eq!(s.value_at(2.0), 1.0);
         assert_eq!(s.value_at(7.0), 3.0);
         assert_eq!(s.value_at(12.0), 2.0);
@@ -138,7 +146,7 @@ mod tests {
 
     #[test]
     fn degenerate_intervals_ignored() {
-        let s = StepIntegral::from_intervals(&[(5.0, 5.0, 100.0), (7.0, 3.0, 9.0)]);
+        let s = StepIntegral::from_intervals([(5.0, 5.0, 100.0), (7.0, 3.0, 9.0)]);
         assert_eq!(s.integrate(0.0, 10.0), 0.0);
     }
 
@@ -146,7 +154,7 @@ mod tests {
     fn matches_bruteforce_overlap_sum() {
         // The identity the whole module is built on.
         let intervals = [(0.0, 4.0, 2.0), (1.0, 6.0, 3.0), (2.0, 3.0, 10.0), (5.0, 9.0, 1.0)];
-        let s = StepIntegral::from_intervals(&intervals);
+        let s = StepIntegral::from_intervals(intervals.iter().copied());
         let (a, b) = (1.5f64, 7.0f64);
         let brute: f64 =
             intervals.iter().map(|&(s_, e_, v)| (b.min(e_) - a.max(s_)).max(0.0) * v).sum();
@@ -174,7 +182,7 @@ mod prop_tests {
             len in 0.0f64..150.0,
         ) {
             let b = a + len;
-            let s = StepIntegral::from_intervals(&intervals);
+            let s = StepIntegral::from_intervals(intervals.iter().copied());
             let brute: f64 = intervals
                 .iter()
                 .map(|&(s_, e_, v)| (b.min(e_) - a.max(s_)).max(0.0) * v)
@@ -184,7 +192,7 @@ mod prop_tests {
 
         #[test]
         fn integral_additive(intervals in arb_intervals(), a in 0.0f64..100.0) {
-            let s = StepIntegral::from_intervals(&intervals);
+            let s = StepIntegral::from_intervals(intervals.iter().copied());
             let whole = s.integrate(a, a + 40.0);
             let parts = s.integrate(a, a + 17.0) + s.integrate(a + 17.0, a + 40.0);
             prop_assert!((whole - parts).abs() < 1e-6 * (1.0 + whole.abs()));
@@ -192,8 +200,73 @@ mod prop_tests {
 
         #[test]
         fn integral_nonnegative_for_positive_values(intervals in arb_intervals()) {
-            let s = StepIntegral::from_intervals(&intervals);
+            let s = StepIntegral::from_intervals(intervals.iter().copied());
             prop_assert!(s.integrate(0.0, 200.0) >= -1e-9);
+        }
+
+        #[test]
+        fn lookup_matches_binary_search_twin(
+            intervals in arb_grid_intervals(),
+            random in proptest::collection::vec(-5.0f64..40.0, 0..8),
+        ) {
+            let s = StepIntegral::from_intervals(intervals.iter().copied());
+            let mut queries = random;
+            queries.extend_from_slice(s.times());
+            if let (Some(&first), Some(&last)) = (s.times().first(), s.times().last()) {
+                queries.extend([first - 1.0, last + 1.0]);
+            }
+            for &x in &queries {
+                prop_assert_eq!(s.value_at(x).to_bits(), twin::value_at(&s, x).to_bits());
+                for &y in &queries {
+                    prop_assert_eq!(s.integrate(x, y).to_bits(), twin::integrate(&s, x, y).to_bits());
+                }
+            }
+        }
+    }
+
+    /// Intervals on a coarse grid, so starts and ends repeat and some
+    /// intervals have zero length.
+    fn arb_grid_intervals() -> impl Strategy<Value = Vec<(f64, f64, f64)>> {
+        let time = prop_oneof![(0u32..20).prop_map(f64::from), 0.0f64..20.0];
+        let len = prop_oneof![Just(0.0f64), (0u32..8).prop_map(f64::from), 0.0f64..8.0];
+        proptest::collection::vec(
+            (time, len, -10.0f64..10.0).prop_map(|(s, len, v)| (s, s + len, v)),
+            0..30,
+        )
+    }
+
+    /// Oracle lookup: `binary_search_by` over the breakpoints, `Err(ins)`
+    /// stepping back one.
+    mod twin {
+        use super::StepIntegral;
+
+        fn last_at_or_before(s: &StepIntegral, x: f64) -> usize {
+            match s.times.binary_search_by(|t| t.partial_cmp(&x).expect("finite")) {
+                Ok(j) => j,
+                Err(ins) => ins - 1,
+            }
+        }
+
+        fn cumulative(s: &StepIntegral, x: f64) -> f64 {
+            if s.times.is_empty() || x <= s.times[0] {
+                return 0.0;
+            }
+            let j = last_at_or_before(s, x);
+            s.integral[j] + s.values[j] * (x - s.times[j])
+        }
+
+        pub fn integrate(s: &StepIntegral, a: f64, b: f64) -> f64 {
+            if b <= a {
+                return 0.0;
+            }
+            cumulative(s, b) - cumulative(s, a)
+        }
+
+        pub fn value_at(s: &StepIntegral, t: f64) -> f64 {
+            if s.times.is_empty() || t < s.times[0] {
+                return 0.0;
+            }
+            s.values[last_at_or_before(s, t)]
         }
     }
 }

@@ -153,24 +153,19 @@ pub struct EndpointProfiles {
 }
 
 impl EndpointProfiles {
-    /// Build one endpoint's profiles from its `(start, end, value)`
-    /// interval lists. Interval order must match the order records were
+    /// Build one endpoint's profiles from its five `(start, end, value)`
+    /// interval lists, in field order: rate out, rate in, procs, streams
+    /// out, streams in. Interval order must match the order records were
     /// appended (the batch sweep appends in log order) for results to be
-    /// bitwise reproducible.
-    pub fn from_intervals(
-        rate_out: &[(f64, f64, f64)],
-        rate_in: &[(f64, f64, f64)],
-        procs: &[(f64, f64, f64)],
-        streams_out: &[(f64, f64, f64)],
-        streams_in: &[(f64, f64, f64)],
-    ) -> Self {
-        EndpointProfiles {
-            rate_out: StepIntegral::from_intervals(rate_out),
-            rate_in: StepIntegral::from_intervals(rate_in),
-            procs: StepIntegral::from_intervals(procs),
-            streams_out: StepIntegral::from_intervals(streams_out),
-            streams_in: StepIntegral::from_intervals(streams_in),
-        }
+    /// bitwise reproducible. Owned lists are freed as their profile is
+    /// built; a deque's entries can be passed as an iterator.
+    pub fn from_intervals<I>(lists: [I; 5]) -> Self
+    where
+        I: IntoIterator<Item = (f64, f64, f64)>,
+    {
+        let [rate_out, rate_in, procs, streams_out, streams_in] =
+            lists.map(StepIntegral::from_intervals);
+        EndpointProfiles { rate_out, rate_in, procs, streams_out, streams_in }
     }
 }
 
@@ -231,46 +226,40 @@ pub fn features_for(
     f
 }
 
+/// One endpoint's `(start, end, value)` interval lists, in
+/// [`EndpointProfiles::from_intervals`] order.
+type IntervalLists = [Vec<(f64, f64, f64)>; 5];
+
 /// Extract the Table 2 features for every transfer in `log`.
 ///
 /// Cost is `O(n log n)`: one event sweep per (endpoint, quantity) plus two
 /// binary searches per transfer per feature. Transfers with zero duration
 /// get zero competing-load features.
+///
+/// Memory: each endpoint's interval lists (144 bytes per record) are freed
+/// as its profiles are built, so the peak is the profiles (at most 288
+/// bytes per record) plus the features returned (168 bytes per record).
 pub fn extract_features(log: &[TransferRecord]) -> Vec<TransferFeatures> {
-    // Gather per-endpoint interval lists.
-    let mut out_ivs: HashMap<EndpointId, Vec<(f64, f64, f64)>> = HashMap::new();
-    let mut in_ivs: HashMap<EndpointId, Vec<(f64, f64, f64)>> = HashMap::new();
-    let mut proc_ivs: HashMap<EndpointId, Vec<(f64, f64, f64)>> = HashMap::new();
-    let mut sout_ivs: HashMap<EndpointId, Vec<(f64, f64, f64)>> = HashMap::new();
-    let mut sin_ivs: HashMap<EndpointId, Vec<(f64, f64, f64)>> = HashMap::new();
-
+    // Every endpoint gets lists, even one only zero-duration records
+    // touch, so every record finds both its profiles.
+    let mut ivs: HashMap<EndpointId, IntervalLists> = HashMap::new();
     for r in log {
-        let Some(iv) = interval_contribution(r) else { continue };
-        let (s, e) = (iv.start, iv.end);
-        out_ivs.entry(r.src).or_default().push((s, e, iv.rate));
-        in_ivs.entry(r.dst).or_default().push((s, e, iv.rate));
-        proc_ivs.entry(r.src).or_default().push((s, e, iv.procs));
-        proc_ivs.entry(r.dst).or_default().push((s, e, iv.procs));
-        sout_ivs.entry(r.src).or_default().push((s, e, iv.streams));
-        sin_ivs.entry(r.dst).or_default().push((s, e, iv.streams));
+        let iv = interval_contribution(r);
+        let [rate_out, _, procs, streams_out, _] = ivs.entry(r.src).or_default();
+        if let Some(iv) = iv {
+            rate_out.push((iv.start, iv.end, iv.rate));
+            procs.push((iv.start, iv.end, iv.procs));
+            streams_out.push((iv.start, iv.end, iv.streams));
+        }
+        let [_, rate_in, procs, _, streams_in] = ivs.entry(r.dst).or_default();
+        if let Some(iv) = iv {
+            rate_in.push((iv.start, iv.end, iv.rate));
+            procs.push((iv.start, iv.end, iv.procs));
+            streams_in.push((iv.start, iv.end, iv.streams));
+        }
     }
-
-    fn ivs(m: &HashMap<EndpointId, Vec<(f64, f64, f64)>>, ep: EndpointId) -> &[(f64, f64, f64)] {
-        m.get(&ep).map_or(&[], |v| v.as_slice())
-    }
-    let mut profiles: HashMap<EndpointId, EndpointProfiles> = HashMap::new();
-    let all_eps: Vec<EndpointId> = log.iter().flat_map(|r| [r.src, r.dst]).collect();
-    for ep in all_eps {
-        profiles.entry(ep).or_insert_with(|| {
-            EndpointProfiles::from_intervals(
-                ivs(&out_ivs, ep),
-                ivs(&in_ivs, ep),
-                ivs(&proc_ivs, ep),
-                ivs(&sout_ivs, ep),
-                ivs(&sin_ivs, ep),
-            )
-        });
-    }
+    let profiles: HashMap<EndpointId, EndpointProfiles> =
+        ivs.into_iter().map(|(ep, lists)| (ep, EndpointProfiles::from_intervals(lists))).collect();
 
     log.iter().map(|r| features_for(r, &profiles[&r.src], &profiles[&r.dst])).collect()
 }

@@ -52,14 +52,16 @@ impl RollingMdape {
     }
 
     /// The rolling MdAPE (%), `NaN` while empty. Median convention matches
-    /// `wdt_ml`: nearest-rank on the sorted buffer.
+    /// `wdt_ml`: nearest-rank on the sorted buffer. Selection finds that
+    /// rank without sorting; errors are finite and `≥ +0.0`, so equal
+    /// values have equal bits and any order puts the same value there.
     pub fn mdape(&self) -> f64 {
         if self.errs.is_empty() {
             return f64::NAN;
         }
         let mut v: Vec<f64> = self.errs.iter().copied().collect();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("errors are finite"));
-        v[(v.len() - 1) / 2]
+        let mid = (v.len() - 1) / 2;
+        *v.select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).expect("errors are finite")).1
     }
 }
 
@@ -322,6 +324,7 @@ fn wdt_ml_abs_pct_errors(pred: &[f64], truth: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use wdt_types::{Bytes, EndpointId, SimTime, TransferId, TransferRecord};
 
     /// A windowed batch with competing load so features vary. `speedup`
@@ -364,6 +367,25 @@ mod tests {
         }
         assert_eq!(r.mdape(), 100.0);
         assert_eq!(r.len(), 4);
+    }
+
+    proptest! {
+        #[test]
+        fn mdape_by_selection_matches_the_sorted_median(
+            errs in proptest::collection::vec(
+                prop_oneof![(0u32..6).prop_map(f64::from), 0.0f64..100.0],
+                1..80,
+            ),
+            cap in 1usize..100,
+        ) {
+            let mut r = RollingMdape::new(cap);
+            for &e in &errs {
+                r.push(e);
+            }
+            let mut sorted: Vec<f64> = r.errs.iter().copied().collect();
+            sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            prop_assert_eq!(r.mdape().to_bits(), sorted[(sorted.len() - 1) / 2].to_bits());
+        }
     }
 
     #[test]

@@ -38,10 +38,6 @@ fn pop_matching(dq: &mut VecDeque<(u64, (f64, f64, f64))>, seq: u64) {
     }
 }
 
-fn values(dq: &VecDeque<(u64, (f64, f64, f64))>) -> Vec<(f64, f64, f64)> {
-    dq.iter().map(|&(_, iv)| iv).collect()
-}
-
 /// Sliding window of recent records with incrementally maintained
 /// per-endpoint activity intervals. See the module docs.
 pub struct FeatureWindow {
@@ -139,15 +135,19 @@ impl FeatureWindow {
         for (_, r) in &self.records {
             for ep in [r.src, r.dst] {
                 out.entry(ep).or_insert_with(|| match self.eps.get(&ep) {
+                    // The deques' entries, read in place.
                     Some(ivs) => EndpointProfiles::from_intervals(
-                        &values(&ivs.rate_out),
-                        &values(&ivs.rate_in),
-                        &values(&ivs.procs),
-                        &values(&ivs.streams_out),
-                        &values(&ivs.streams_in),
+                        [
+                            &ivs.rate_out,
+                            &ivs.rate_in,
+                            &ivs.procs,
+                            &ivs.streams_out,
+                            &ivs.streams_in,
+                        ]
+                        .map(|dq| dq.iter().map(|&(_, iv)| iv)),
                     ),
                     // Endpoint only touched by zero-duration records.
-                    None => EndpointProfiles::from_intervals(&[], &[], &[], &[], &[]),
+                    None => EndpointProfiles::from_intervals([[]; 5]),
                 });
             }
         }

@@ -7,7 +7,7 @@
 
 use crate::pipeline::{build_dataset, EvalReport, FitConfig, FittedModel, ModelKind};
 use rayon::prelude::*;
-use wdt_features::{eligible_edges, threshold_filter, TransferFeatures};
+use wdt_features::{eligible_edges, rate_floors, TransferFeatures};
 use wdt_types::EdgeId;
 
 /// One edge's experiment outcome.
@@ -72,16 +72,25 @@ fn full_significance(model: &FittedModel, all_names: &[String]) -> Vec<(String, 
 
 /// Run the per-edge experiments. Edges are processed in descending sample
 /// count; training parallelizes across edges with Rayon.
+///
+/// Each edge's rows are selected straight from `features` against that
+/// edge's [`rate_floors`] entry: the rows [`threshold_filter`] would keep,
+/// in the same order, without a whole-log filtered copy. Only the edges
+/// being fitted hold copies of their own rows.
+///
+/// [`threshold_filter`]: wdt_features::threshold_filter
 pub fn run_per_edge(features: &[TransferFeatures], cfg: &PerEdgeConfig) -> Vec<EdgeExperiment> {
-    let filtered = threshold_filter(features, cfg.threshold);
+    let floors = rate_floors(features, cfg.threshold);
     let mut edges = eligible_edges(features, cfg.threshold, cfg.min_transfers);
     edges.truncate(cfg.max_edges);
 
     edges
         .par_iter()
-        .filter_map(|&(edge, _)| {
-            let edge_feats: Vec<TransferFeatures> =
-                filtered.iter().filter(|f| f.edge == edge).cloned().collect();
+        .filter_map(|&(edge, n)| {
+            let floor = floors[&edge];
+            let mut edge_feats = Vec::with_capacity(n);
+            edge_feats
+                .extend(features.iter().filter(|f| f.edge == edge && f.rate >= floor).cloned());
             run_one_edge(edge, &edge_feats, cfg)
         })
         .collect()
@@ -125,6 +134,7 @@ pub fn run_one_edge(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::EvalReport;
     use wdt_types::{EndpointId, TransferId};
 
     /// SplitMix64-based uniform draw, decorrelated across `(i, k)`.
@@ -246,5 +256,68 @@ mod tests {
         }
         let cfg = PerEdgeConfig { max_edges: 2, ..quick_cfg() };
         assert_eq!(run_per_edge(&feats, &cfg).len(), 2);
+    }
+
+    fn report_bits(r: &EvalReport) -> Vec<u64> {
+        let head = [r.n as u64, r.mdape.to_bits(), r.p95.to_bits(), r.rmse.to_bits()];
+        head.into_iter()
+            .chain([r.r2.to_bits()])
+            .chain(r.abs_pct_errors.iter().map(|e| e.to_bits()))
+            .collect()
+    }
+
+    fn significance_bits(sig: &[(String, Option<f64>)]) -> Vec<(String, Option<u64>)> {
+        sig.iter().map(|(n, v)| (n.clone(), v.map(f64::to_bits))).collect()
+    }
+
+    #[test]
+    fn per_edge_selection_matches_fitting_threshold_filtered_rows() {
+        // Interleaved edges, so selection order matters; the threshold
+        // drops rows, and every 7th row sits exactly on its edge's floor;
+        // the fourth edge has too few rows to qualify.
+        let edges: Vec<EdgeId> =
+            (0..4).map(|i| EdgeId::new(EndpointId(i), EndpointId(i + 1))).collect();
+        let sizes = [500, 400, 300, 20];
+        let per_edge: Vec<Vec<TransferFeatures>> = edges
+            .iter()
+            .zip(sizes)
+            .enumerate()
+            .map(|(i, (&e, n))| {
+                let mut rows = synth_edge(n, e, 70 + i as u64);
+                let r_max = rows.iter().map(|f| f.rate).fold(0.0, f64::max);
+                rows.iter_mut().step_by(7).for_each(|f| f.rate = 0.5 * r_max);
+                rows
+            })
+            .collect();
+        let mut feats = Vec::new();
+        for row in 0..sizes[0] {
+            feats.extend(per_edge.iter().filter_map(|rows| rows.get(row).cloned()));
+        }
+        let mut cfg = PerEdgeConfig { threshold: 0.5, min_transfers: 30, ..quick_cfg() };
+        cfg.fit.gbdt.n_rounds = 20;
+
+        let got = run_per_edge(&feats, &cfg);
+        let filtered = wdt_features::threshold_filter(&feats, cfg.threshold);
+        let eligible = eligible_edges(&feats, cfg.threshold, cfg.min_transfers);
+        assert_eq!(eligible.len(), 3);
+        assert!(filtered.len() < feats.len(), "the threshold must drop rows");
+        assert_eq!(got.len(), eligible.len());
+        for (g, &(edge, n)) in got.iter().zip(&eligible) {
+            let rows: Vec<TransferFeatures> =
+                filtered.iter().filter(|f| f.edge == edge).cloned().collect();
+            let want = run_one_edge(edge, &rows, &cfg).expect("edge fits");
+            assert_eq!((g.edge, g.n_samples), (want.edge, want.n_samples));
+            assert_eq!(g.n_samples, n);
+            assert_eq!(report_bits(&g.lr), report_bits(&want.lr));
+            assert_eq!(report_bits(&g.xgb), report_bits(&want.xgb));
+            assert_eq!(
+                significance_bits(&g.lr_significance),
+                significance_bits(&want.lr_significance)
+            );
+            assert_eq!(
+                significance_bits(&g.xgb_importance),
+                significance_bits(&want.xgb_importance)
+            );
+        }
     }
 }
