@@ -5,7 +5,9 @@
 //!
 //! * [`extract_features`] — the competing-load features (`K*`, `G*`, `S*`)
 //!   via overlap-scaled sums (Eq. 2), computed in `O(n log n)` with
-//!   per-endpoint step-function integrals, plus transfer characteristics.
+//!   per-endpoint step-function integrals built one endpoint at a time
+//!   ([`featurize_by_endpoint`], which the streaming window shares), plus
+//!   transfer characteristics.
 //! * [`edges`] — per-edge statistics, the §3.2 census, `Rmax(E)` and the
 //!   `R ≥ T·Rmax` threshold filter of §4.3.2.
 //! * [`endpoint_caps()`](endpoint_caps()) — the §5.4 `ROmax`/`RImax` endpoint capability
@@ -32,6 +34,6 @@ pub use endpoint_caps::{endpoint_caps, extend_with_caps, extended_feature_names,
 pub use matrix::{Dataset, Normalizer};
 pub use step::StepIntegral;
 pub use transfer_features::{
-    extract_features, features_for, interval_contribution, EndpointProfiles, IntervalContribution,
-    TransferFeatures, FEATURE_NAMES, NFLT_INDEX,
+    extract_features, featurize_by_endpoint, interval_contribution, EndpointProfiles,
+    IntervalContribution, TransferFeatures, FEATURE_NAMES, NFLT_INDEX,
 };

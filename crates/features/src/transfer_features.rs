@@ -1,6 +1,7 @@
 //! Per-transfer feature extraction (paper §4, Table 2).
 
 use crate::step::StepIntegral;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use wdt_types::{EdgeId, EndpointId, TransferId, TransferRecord};
 
@@ -137,8 +138,9 @@ pub fn interval_contribution(r: &TransferRecord) -> Option<IntervalContribution>
 /// Per-endpoint step functions of competing activity.
 ///
 /// Built from the interval lists a log's records contribute (see
-/// [`interval_contribution`]); [`features_for`] reads competing-load
-/// features for one record out of the profiles of its two endpoints.
+/// [`interval_contribution`]); [`featurize_by_endpoint`] reads each
+/// record's competing-load features for one of its endpoints out of that
+/// endpoint's profiles.
 pub struct EndpointProfiles {
     /// Aggregate rate of transfers leaving the endpoint.
     rate_out: StepIntegral,
@@ -156,9 +158,10 @@ impl EndpointProfiles {
     /// Build one endpoint's profiles from its five `(start, end, value)`
     /// interval lists, in field order: rate out, rate in, procs, streams
     /// out, streams in. Interval order must match the order records were
-    /// appended (the batch sweep appends in log order) for results to be
-    /// bitwise reproducible. Owned lists are freed as their profile is
-    /// built; a deque's entries can be passed as an iterator.
+    /// appended (the batch gather appends in log order, a record's source
+    /// role before its destination role) for results to be bitwise
+    /// reproducible. Owned lists are freed as their profile is built; a
+    /// deque's entries can be passed as an iterator.
     pub fn from_intervals<I>(lists: [I; 5]) -> Self
     where
         I: IntoIterator<Item = (f64, f64, f64)>,
@@ -169,66 +172,207 @@ impl EndpointProfiles {
     }
 }
 
-/// Compute one record's Table 2 features from the activity profiles of
-/// its source and destination endpoints. The profiles must cover the
-/// record's own contribution (it is subtracted here).
-pub fn features_for(
-    r: &TransferRecord,
-    src: &EndpointProfiles,
-    dst: &EndpointProfiles,
-) -> TransferFeatures {
-    let (s, e) = (r.start.as_secs(), r.end.as_secs());
-    let dur = e - s;
-    let rate = r.rate().as_f64();
-    let mut f = TransferFeatures {
-        id: r.id,
-        edge: r.edge(),
-        start: s,
-        end: e,
-        rate,
-        k_sout: 0.0,
-        k_din: 0.0,
-        c: r.concurrency as f64,
-        p: r.parallelism as f64,
-        s_sout: 0.0,
-        s_sin: 0.0,
-        s_dout: 0.0,
-        s_din: 0.0,
-        k_sin: 0.0,
-        k_dout: 0.0,
-        n_d: r.dirs as f64,
-        n_b: r.bytes.as_f64(),
-        n_flt: r.faults as f64,
-        g_src: 0.0,
-        g_dst: 0.0,
-        n_f: r.files as f64,
-    };
-    if dur <= 0.0 {
-        return f;
+/// Mean competing level over `[s, e]`: the profile's mean there less the
+/// record's own level, floored at 0.
+fn mean_competing(profile: &StepIntegral, s: f64, e: f64, own: f64) -> f64 {
+    ((profile.integrate(s, e) / (e - s)) - own).max(0.0)
+}
+
+impl TransferFeatures {
+    /// `r`'s transfer characteristics and target, with every
+    /// competing-load feature 0.
+    fn of_record(r: &TransferRecord) -> Self {
+        TransferFeatures {
+            id: r.id,
+            edge: r.edge(),
+            start: r.start.as_secs(),
+            end: r.end.as_secs(),
+            rate: r.rate().as_f64(),
+            k_sout: 0.0,
+            k_din: 0.0,
+            c: r.concurrency as f64,
+            p: r.parallelism as f64,
+            s_sout: 0.0,
+            s_sin: 0.0,
+            s_dout: 0.0,
+            s_din: 0.0,
+            k_sin: 0.0,
+            k_dout: 0.0,
+            n_d: r.dirs as f64,
+            n_b: r.bytes.as_f64(),
+            n_flt: r.faults as f64,
+            g_src: 0.0,
+            g_dst: 0.0,
+            n_f: r.files as f64,
+        }
     }
+
+    /// `Ksout`, `Ksin`, `Ssout`, `Ssin` and `Gsrc` of `r` (positive
+    /// duration) from its source's profiles, which cover `r` itself: its
+    /// own contribution is subtracted here.
+    fn set_source_side(&mut self, r: &TransferRecord, src: &EndpointProfiles) {
+        let (s, e, rate) = (self.start, self.end, self.rate);
+        let streams = r.tcp_streams() as f64;
+        let loopback = r.src == r.dst;
+        self.k_sout = mean_competing(&src.rate_out, s, e, rate);
+        self.k_sin = mean_competing(&src.rate_in, s, e, if loopback { rate } else { 0.0 });
+        self.s_sout = mean_competing(&src.streams_out, s, e, streams);
+        self.s_sin = mean_competing(&src.streams_in, s, e, if loopback { streams } else { 0.0 });
+        self.g_src = mean_competing(&src.procs, s, e, own_procs(r));
+    }
+
+    /// `Kdin`, `Kdout`, `Sdin`, `Sdout` and `Gdst` of `r` (positive
+    /// duration) from its destination's profiles; see
+    /// [`TransferFeatures::set_source_side`].
+    fn set_destination_side(&mut self, r: &TransferRecord, dst: &EndpointProfiles) {
+        let (s, e, rate) = (self.start, self.end, self.rate);
+        let streams = r.tcp_streams() as f64;
+        let loopback = r.src == r.dst;
+        self.k_din = mean_competing(&dst.rate_in, s, e, rate);
+        self.k_dout = mean_competing(&dst.rate_out, s, e, if loopback { rate } else { 0.0 });
+        self.s_din = mean_competing(&dst.streams_in, s, e, streams);
+        self.s_dout = mean_competing(&dst.streams_out, s, e, if loopback { streams } else { 0.0 });
+        self.g_dst = mean_competing(&dst.procs, s, e, own_procs(r));
+    }
+}
+
+/// What `r` adds to an endpoint's proc profile: it counts once per role.
+fn own_procs(r: &TransferRecord) -> f64 {
     let procs = r.effective_concurrency() as f64;
-    let streams = r.tcp_streams() as f64;
-    let loopback = r.src == r.dst;
-    // Mean competing level = (∫ profile over [s,e]  −  own) / dur.
-    let mean = |total: f64, own: f64| ((total / dur) - own).max(0.0);
-    f.k_sout = mean(src.rate_out.integrate(s, e), rate);
-    f.k_din = mean(dst.rate_in.integrate(s, e), rate);
-    f.k_sin = mean(src.rate_in.integrate(s, e), if loopback { rate } else { 0.0 });
-    f.k_dout = mean(dst.rate_out.integrate(s, e), if loopback { rate } else { 0.0 });
-    f.s_sout = mean(src.streams_out.integrate(s, e), streams);
-    f.s_din = mean(dst.streams_in.integrate(s, e), streams);
-    f.s_sin = mean(src.streams_in.integrate(s, e), if loopback { streams } else { 0.0 });
-    f.s_dout = mean(dst.streams_out.integrate(s, e), if loopback { streams } else { 0.0 });
-    // The endpoint proc profile counts this transfer once per role.
-    let own_procs = if loopback { 2.0 * procs } else { procs };
-    f.g_src = mean(src.procs.integrate(s, e), own_procs);
-    f.g_dst = mean(dst.procs.integrate(s, e), own_procs);
-    f
+    if r.src == r.dst {
+        2.0 * procs
+    } else {
+        procs
+    }
+}
+
+/// The records of positive duration, indexed by endpoint: each endpoint's
+/// rows (positions in the records) ascending, a loopback record listed
+/// once, endpoints in order of first appearance.
+struct EndpointIndex {
+    endpoints: Vec<EndpointId>,
+    /// Endpoint `k`'s rows are `rows[starts[k]..starts[k + 1]]`.
+    starts: Vec<usize>,
+    rows: Vec<usize>,
+}
+
+impl EndpointIndex {
+    fn build<R: Borrow<TransferRecord>>(records: &[R]) -> Self {
+        // The endpoints each contributing record touches, each once.
+        let touched = |r: &TransferRecord| {
+            let contributes = interval_contribution(r).is_some();
+            [contributes.then_some(r.src), (contributes && r.dst != r.src).then_some(r.dst)]
+                .into_iter()
+                .flatten()
+        };
+        let mut slot: HashMap<EndpointId, usize> = HashMap::new();
+        let mut endpoints = Vec::new();
+        let mut counts: Vec<usize> = Vec::new();
+        for r in records {
+            for ep in touched(r.borrow()) {
+                let k = *slot.entry(ep).or_insert_with(|| {
+                    endpoints.push(ep);
+                    counts.push(0);
+                    endpoints.len() - 1
+                });
+                counts[k] += 1;
+            }
+        }
+        let mut starts = Vec::with_capacity(counts.len() + 1);
+        starts.push(0);
+        for c in &counts {
+            starts.push(starts[starts.len() - 1] + c);
+        }
+        // Reuse the counts as each endpoint's next free row.
+        counts.copy_from_slice(&starts[..endpoints.len()]);
+        let mut rows = vec![0; starts[starts.len() - 1]];
+        for (i, r) in records.iter().enumerate() {
+            for ep in touched(r.borrow()) {
+                let next = &mut counts[slot[&ep]];
+                rows[*next] = i;
+                *next += 1;
+            }
+        }
+        EndpointIndex { endpoints, starts, rows }
+    }
+
+    /// Each endpoint with its rows, in order of first appearance.
+    fn iter(&self) -> impl Iterator<Item = (EndpointId, &[usize])> {
+        self.endpoints
+            .iter()
+            .zip(self.starts.windows(2))
+            .map(|(&ep, w)| (ep, &self.rows[w[0]..w[1]]))
+    }
+}
+
+/// Featurize `records` one endpoint at a time: every record's Table 2
+/// features, in `records` order.
+///
+/// The records of positive duration are indexed by endpoint (a loopback
+/// record once) and the endpoints visited in order of first appearance.
+/// For each, `profiles_of(ep, rows)` builds its profiles, `rows` being the
+/// positions in `records` of the indexed records that touch `ep`,
+/// ascending. The profiles must cover every interval that loads `ep`,
+/// these records' own included; they may cover records outside
+/// `records`, as a window's do. Each of those records then gets the side
+/// `ep` plays in it (source, destination, or both for a loopback), and the
+/// profiles are dropped. Records of zero duration keep zero
+/// competing-load features, so an endpoint only they touch is never
+/// built.
+///
+/// Memory: the features returned, the index (at most two `usize` per
+/// record) and one endpoint's profiles at a time.
+pub fn featurize_by_endpoint<R: Borrow<TransferRecord>>(
+    records: &[R],
+    mut profiles_of: impl FnMut(EndpointId, &[usize]) -> EndpointProfiles,
+) -> Vec<TransferFeatures> {
+    let mut out: Vec<TransferFeatures> =
+        records.iter().map(|r| TransferFeatures::of_record(r.borrow())).collect();
+    let index = EndpointIndex::build(records);
+    for (ep, rows) in index.iter() {
+        let profiles = profiles_of(ep, rows);
+        for &i in rows {
+            let r = records[i].borrow();
+            if r.src == ep {
+                out[i].set_source_side(r, &profiles);
+            }
+            if r.dst == ep {
+                out[i].set_destination_side(r, &profiles);
+            }
+        }
+    }
+    out
 }
 
 /// One endpoint's `(start, end, value)` interval lists, in
 /// [`EndpointProfiles::from_intervals`] order.
 type IntervalLists = [Vec<(f64, f64, f64)>; 5];
+
+/// `ep`'s interval lists from the records at `rows` of `log` (ascending,
+/// every one touching `ep` with a positive duration), each list sized
+/// exactly: in log order, a record's source role before its destination
+/// role.
+fn gather(log: &[TransferRecord], ep: EndpointId, rows: &[usize]) -> IntervalLists {
+    let n_out = rows.iter().filter(|&&i| log[i].src == ep).count();
+    let n_in = rows.iter().filter(|&&i| log[i].dst == ep).count();
+    let mut lists = [n_out, n_in, n_out + n_in, n_out, n_in].map(Vec::with_capacity);
+    let [rate_out, rate_in, procs, streams_out, streams_in] = &mut lists;
+    for &i in rows {
+        let r = &log[i];
+        let iv = interval_contribution(r).expect("indexed records have a duration");
+        if r.src == ep {
+            rate_out.push((iv.start, iv.end, iv.rate));
+            procs.push((iv.start, iv.end, iv.procs));
+            streams_out.push((iv.start, iv.end, iv.streams));
+        }
+        if r.dst == ep {
+            rate_in.push((iv.start, iv.end, iv.rate));
+            procs.push((iv.start, iv.end, iv.procs));
+            streams_in.push((iv.start, iv.end, iv.streams));
+        }
+    }
+    lists
+}
 
 /// Extract the Table 2 features for every transfer in `log`.
 ///
@@ -236,32 +380,13 @@ type IntervalLists = [Vec<(f64, f64, f64)>; 5];
 /// binary searches per transfer per feature. Transfers with zero duration
 /// get zero competing-load features.
 ///
-/// Memory: each endpoint's interval lists (144 bytes per record) are freed
-/// as its profiles are built, so the peak is the profiles (at most 288
-/// bytes per record) plus the features returned (168 bytes per record).
+/// Memory: [`featurize_by_endpoint`] builds one endpoint's profiles at a
+/// time from that endpoint's interval lists, so the peak is the features
+/// returned (168 bytes per record), the endpoint index (at most 16 bytes
+/// per record) and one endpoint's lists and profiles (72 and at most 144
+/// bytes per record it holds).
 pub fn extract_features(log: &[TransferRecord]) -> Vec<TransferFeatures> {
-    // Every endpoint gets lists, even one only zero-duration records
-    // touch, so every record finds both its profiles.
-    let mut ivs: HashMap<EndpointId, IntervalLists> = HashMap::new();
-    for r in log {
-        let iv = interval_contribution(r);
-        let [rate_out, _, procs, streams_out, _] = ivs.entry(r.src).or_default();
-        if let Some(iv) = iv {
-            rate_out.push((iv.start, iv.end, iv.rate));
-            procs.push((iv.start, iv.end, iv.procs));
-            streams_out.push((iv.start, iv.end, iv.streams));
-        }
-        let [_, rate_in, procs, _, streams_in] = ivs.entry(r.dst).or_default();
-        if let Some(iv) = iv {
-            rate_in.push((iv.start, iv.end, iv.rate));
-            procs.push((iv.start, iv.end, iv.procs));
-            streams_in.push((iv.start, iv.end, iv.streams));
-        }
-    }
-    let profiles: HashMap<EndpointId, EndpointProfiles> =
-        ivs.into_iter().map(|(ep, lists)| (ep, EndpointProfiles::from_intervals(lists))).collect();
-
-    log.iter().map(|r| features_for(r, &profiles[&r.src], &profiles[&r.dst])).collect()
+    featurize_by_endpoint(log, |ep, rows| EndpointProfiles::from_intervals(gather(log, ep, rows)))
 }
 
 #[cfg(test)]
@@ -514,5 +639,200 @@ mod tests_support {
                 o / dur * ri.rate().as_f64()
             })
             .sum()
+    }
+}
+
+/// The bitwise oracle of [`featurize_by_endpoint`]: a two-profile
+/// extractor that builds every endpoint's profiles first, in one map, then
+/// reads each record out of its source's and destination's profiles
+/// together.
+#[cfg(test)]
+mod two_profile {
+    use super::*;
+
+    /// Compute one record's Table 2 features from the activity profiles
+    /// of its source and destination endpoints. The profiles must cover
+    /// the record's own contribution (it is subtracted here).
+    pub fn features_for(
+        r: &TransferRecord,
+        src: &EndpointProfiles,
+        dst: &EndpointProfiles,
+    ) -> TransferFeatures {
+        let (s, e) = (r.start.as_secs(), r.end.as_secs());
+        let dur = e - s;
+        let rate = r.rate().as_f64();
+        let mut f = TransferFeatures {
+            id: r.id,
+            edge: r.edge(),
+            start: s,
+            end: e,
+            rate,
+            k_sout: 0.0,
+            k_din: 0.0,
+            c: r.concurrency as f64,
+            p: r.parallelism as f64,
+            s_sout: 0.0,
+            s_sin: 0.0,
+            s_dout: 0.0,
+            s_din: 0.0,
+            k_sin: 0.0,
+            k_dout: 0.0,
+            n_d: r.dirs as f64,
+            n_b: r.bytes.as_f64(),
+            n_flt: r.faults as f64,
+            g_src: 0.0,
+            g_dst: 0.0,
+            n_f: r.files as f64,
+        };
+        if dur <= 0.0 {
+            return f;
+        }
+        let procs = r.effective_concurrency() as f64;
+        let streams = r.tcp_streams() as f64;
+        let loopback = r.src == r.dst;
+        // Mean competing level = (∫ profile over [s,e]  −  own) / dur.
+        let mean = |total: f64, own: f64| ((total / dur) - own).max(0.0);
+        f.k_sout = mean(src.rate_out.integrate(s, e), rate);
+        f.k_din = mean(dst.rate_in.integrate(s, e), rate);
+        f.k_sin = mean(src.rate_in.integrate(s, e), if loopback { rate } else { 0.0 });
+        f.k_dout = mean(dst.rate_out.integrate(s, e), if loopback { rate } else { 0.0 });
+        f.s_sout = mean(src.streams_out.integrate(s, e), streams);
+        f.s_din = mean(dst.streams_in.integrate(s, e), streams);
+        f.s_sin = mean(src.streams_in.integrate(s, e), if loopback { streams } else { 0.0 });
+        f.s_dout = mean(dst.streams_out.integrate(s, e), if loopback { streams } else { 0.0 });
+        // The endpoint proc profile counts this transfer once per role.
+        let own_procs = if loopback { 2.0 * procs } else { procs };
+        f.g_src = mean(src.procs.integrate(s, e), own_procs);
+        f.g_dst = mean(dst.procs.integrate(s, e), own_procs);
+        f
+    }
+
+    /// Every endpoint's lists gathered in one log-order pass (an endpoint
+    /// only zero-duration records touch gets empty lists), every
+    /// endpoint's profiles built, then [`features_for`] per record.
+    pub fn extract_features(log: &[TransferRecord]) -> Vec<TransferFeatures> {
+        let mut ivs: HashMap<EndpointId, IntervalLists> = HashMap::new();
+        for r in log {
+            let iv = interval_contribution(r);
+            let [rate_out, _, procs, streams_out, _] = ivs.entry(r.src).or_default();
+            if let Some(iv) = iv {
+                rate_out.push((iv.start, iv.end, iv.rate));
+                procs.push((iv.start, iv.end, iv.procs));
+                streams_out.push((iv.start, iv.end, iv.streams));
+            }
+            let [_, rate_in, procs, _, streams_in] = ivs.entry(r.dst).or_default();
+            if let Some(iv) = iv {
+                rate_in.push((iv.start, iv.end, iv.rate));
+                procs.push((iv.start, iv.end, iv.procs));
+                streams_in.push((iv.start, iv.end, iv.streams));
+            }
+        }
+        let profiles: HashMap<EndpointId, EndpointProfiles> = ivs
+            .into_iter()
+            .map(|(ep, lists)| (ep, EndpointProfiles::from_intervals(lists)))
+            .collect();
+        log.iter().map(|r| features_for(r, &profiles[&r.src], &profiles[&r.dst])).collect()
+    }
+}
+
+#[cfg(test)]
+mod oracle_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use wdt_types::{Bytes, SimTime};
+
+    /// Logs over 1 to 40 endpoints with loopback records, zero-duration
+    /// records, and two endpoints (ids `n` and `n + 1`) that only
+    /// zero-duration records may touch. Starts and lengths sit on a
+    /// coarse grid half the time, so breakpoints coincide.
+    fn arb_log() -> impl Strategy<Value = Vec<TransferRecord>> {
+        (1u32..41).prop_flat_map(|n| {
+            let time = prop_oneof![(0u32..50).prop_map(|t| f64::from(t) * 10.0), 0.0f64..500.0];
+            let len = prop_oneof![Just(0.0f64), (1u32..30).prop_map(|t| f64::from(t) * 10.0)];
+            proptest::collection::vec(
+                (0u32..n + 2, 0u32..n + 2, time, len, 0.1f64..50.0, 1u32..8, 1u32..4, 1u64..500),
+                1..80,
+            )
+            .prop_map(move |specs| {
+                specs
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (src, dst, s, len, gb, c, p, files))| {
+                        // Only a zero-duration record keeps an endpoint
+                        // past the first `n`; a lone draw of `n` or `n + 1`
+                        // on a record with a duration is folded back.
+                        let (src, dst) = if len > 0.0 { (src % n, dst % n) } else { (src, dst) };
+                        TransferRecord {
+                            id: TransferId(i as u64),
+                            src: EndpointId(src),
+                            dst: EndpointId(dst),
+                            start: SimTime::seconds(s),
+                            end: SimTime::seconds(s + len),
+                            bytes: Bytes::gb(gb),
+                            files,
+                            dirs: 1 + i as u64 % 5,
+                            concurrency: c,
+                            parallelism: p,
+                            faults: (i % 3) as u32,
+                        }
+                    })
+                    .collect()
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// One endpoint at a time gives the two-profile extractor's bits.
+        #[test]
+        fn matches_two_profile_oracle_bitwise(log in arb_log()) {
+            let got = extract_features(&log);
+            let want = two_profile::extract_features(&log);
+            prop_assert_eq!(got.len(), want.len());
+            for (a, b) in got.iter().zip(&want) {
+                prop_assert_eq!(a.id, b.id);
+                prop_assert_eq!(a.edge, b.edge);
+                prop_assert_eq!(a.rate.to_bits(), b.rate.to_bits());
+                prop_assert_eq!(a.start.to_bits(), b.start.to_bits());
+                prop_assert_eq!(a.end.to_bits(), b.end.to_bits());
+                for (i, (x, y)) in a.to_vec().iter().zip(b.to_vec()).enumerate() {
+                    prop_assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "transfer {:?} {}: {} vs oracle {}",
+                        a.id,
+                        FEATURE_NAMES[i],
+                        x,
+                        y
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn endpoints_are_visited_in_first_appearance_order() {
+        let rec = |id: u64, src: u32, dst: u32, len: f64| TransferRecord {
+            id: TransferId(id),
+            src: EndpointId(src),
+            dst: EndpointId(dst),
+            start: SimTime::seconds(0.0),
+            end: SimTime::seconds(len),
+            bytes: Bytes::gb(1.0),
+            files: 10,
+            dirs: 1,
+            concurrency: 2,
+            parallelism: 2,
+            faults: 0,
+        };
+        // Endpoint 9 is only touched with zero duration; 5 is a loopback.
+        let log = [rec(0, 3, 1, 10.0), rec(1, 9, 9, 0.0), rec(2, 5, 5, 10.0), rec(3, 1, 3, 10.0)];
+        let mut visits = Vec::new();
+        featurize_by_endpoint(&log, |ep, rows| {
+            visits.push((ep.0, rows.to_vec()));
+            EndpointProfiles::from_intervals(gather(&log, ep, rows))
+        });
+        assert_eq!(visits, [(3, vec![0, 3]), (1, vec![0, 3]), (5, vec![2])]);
     }
 }

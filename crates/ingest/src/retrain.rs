@@ -280,7 +280,7 @@ impl RetrainDriver {
         };
         if self.stale.is_none() {
             // Freeze a copy of the first model as the stale baseline.
-            self.stale = FittedModel::from_json(&model.to_json()).ok();
+            self.stale = Some(model.clone());
         }
         self.current = Some(model);
         self.since_fit = 0;
@@ -490,5 +490,20 @@ mod tests {
             d.rolling_mdape(),
             d.stale_mdape()
         );
+    }
+
+    #[test]
+    fn stale_baseline_predicts_like_the_first_artifact() {
+        let cfg = RetrainConfig { min_train: 10, kind: ModelKind::Gbdt, ..Default::default() };
+        let mut d = RetrainDriver::new(cfg, None).unwrap();
+        let first = features(200, 1.0);
+        d.refit(&first).unwrap().unwrap();
+        let artifact = FittedModel::from_json(&d.current().unwrap().to_json()).unwrap();
+        d.refit(&features(200, 40.0)).unwrap().unwrap();
+        let x = build_dataset(&first, false).x;
+        let stale = d.stale.as_ref().unwrap().predict(&x);
+        for (a, b) in stale.iter().zip(artifact.predict(&x)) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 }

@@ -1,23 +1,28 @@
 //! Incremental windowed feature maintenance.
 //!
-//! The batch extractor ([`wdt_features::extract_features`]) gathers every
-//! record's interval contributions into per-endpoint lists, builds step
-//! profiles, then reads each record's competing-load features back out.
-//! [`FeatureWindow`] maintains exactly those interval lists *incrementally*
-//! over a sliding window of the most recent records: a push appends the
-//! record's contributions (tagged with its arrival sequence number) to the
+//! The batch extractor ([`wdt_features::extract_features`]) gathers each
+//! endpoint's interval contributions from its records, builds that
+//! endpoint's step profiles, and writes its side of those records'
+//! competing-load features, one endpoint at a time. [`FeatureWindow`]
+//! maintains exactly those interval lists *incrementally* over a sliding
+//! window of the most recent records: a push appends the record's
+//! contributions (tagged with its arrival sequence number) to the
 //! per-endpoint deques, an eviction pops them from the deque fronts.
 //!
 //! Because the deques preserve insertion order and evictions remove
 //! precisely the evicted record's entries, the interval lists are — at
 //! every moment — *identical* to what the batch gather would produce over
-//! the window's records. Profiles are then built through the same
-//! [`EndpointProfiles::from_intervals`] and read through the same
-//! [`features_for`], so windowed features are **bitwise equal** to
-//! `extract_features(window)` (a property test enforces this).
+//! the window's records. Features are then read through the same
+//! [`featurize_by_endpoint`], which asks for the profiles of only the
+//! endpoints the records being featurized touch, so windowed features are
+//! **bitwise equal** to `extract_features(window)` (a property test
+//! enforces this) and scoring the newest records builds only their
+//! endpoints.
 
 use std::collections::{HashMap, VecDeque};
-use wdt_features::{features_for, interval_contribution, EndpointProfiles, TransferFeatures};
+use wdt_features::{
+    featurize_by_endpoint, interval_contribution, EndpointProfiles, TransferFeatures,
+};
 use wdt_types::{EndpointId, TransferRecord};
 
 /// One endpoint's interval deques, entries tagged with arrival sequence.
@@ -130,50 +135,28 @@ impl FeatureWindow {
         }
     }
 
-    fn profiles(&self) -> HashMap<EndpointId, EndpointProfiles> {
-        let mut out = HashMap::with_capacity(self.eps.len() + 2);
-        for (_, r) in &self.records {
-            for ep in [r.src, r.dst] {
-                out.entry(ep).or_insert_with(|| match self.eps.get(&ep) {
-                    // The deques' entries, read in place.
-                    Some(ivs) => EndpointProfiles::from_intervals(
-                        [
-                            &ivs.rate_out,
-                            &ivs.rate_in,
-                            &ivs.procs,
-                            &ivs.streams_out,
-                            &ivs.streams_in,
-                        ]
-                        .map(|dq| dq.iter().map(|&(_, iv)| iv)),
-                    ),
-                    // Endpoint only touched by zero-duration records.
-                    None => EndpointProfiles::from_intervals([[]; 5]),
-                });
-            }
-        }
-        out
-    }
-
     /// Features of every windowed record, oldest first — bitwise equal to
     /// `extract_features` over [`FeatureWindow::records`].
     pub fn features(&self) -> Vec<TransferFeatures> {
-        let profiles = self.profiles();
-        self.records
-            .iter()
-            .map(|(_, r)| features_for(r, &profiles[&r.src], &profiles[&r.dst]))
-            .collect()
+        self.features_tail(self.records.len())
     }
 
-    /// Features of the newest `k` records only (one profile build, `k`
-    /// reads) — what prequential evaluation scores a fresh chunk with.
+    /// Features of the newest `k` records only, against the whole
+    /// window's load — what prequential evaluation scores a fresh chunk
+    /// with. Only the endpoints those records touch are built, one at a
+    /// time, each from all of its windowed intervals.
     pub fn features_tail(&self, k: usize) -> Vec<TransferFeatures> {
-        let profiles = self.profiles();
         let skip = self.records.len().saturating_sub(k);
-        self.records
-            .iter()
-            .skip(skip)
-            .map(|(_, r)| features_for(r, &profiles[&r.src], &profiles[&r.dst]))
-            .collect()
+        let tail: Vec<&TransferRecord> = self.records.iter().skip(skip).map(|(_, r)| r).collect();
+        featurize_by_endpoint(&tail, |ep, _| {
+            // A record with a duration keeps its entries in its endpoints'
+            // deques while it is windowed.
+            let ivs = &self.eps[&ep];
+            EndpointProfiles::from_intervals(
+                [&ivs.rate_out, &ivs.rate_in, &ivs.procs, &ivs.streams_out, &ivs.streams_in]
+                    .map(|dq| dq.iter().map(|&(_, iv)| iv)),
+            )
+        })
     }
 }
 

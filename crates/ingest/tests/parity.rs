@@ -97,16 +97,21 @@ proptest! {
         assert_bitwise(&w.features(), &extract_features(suffix));
     }
 
-    /// `features_tail` agrees with the tail of the full computation (the
-    /// prequential scorer sees the same numbers the refit will).
+    /// `features_tail(k)` agrees with the tail of the batch computation
+    /// over the whole window (the prequential scorer sees the same numbers
+    /// the refit will), for evicting windows and every `k` from 0 to one
+    /// past the window's length.
     #[test]
-    fn tail_features_agree_with_full(log in arb_log(), k in 1usize..20) {
-        let mut w = FeatureWindow::new(log.len());
+    fn tail_features_agree_with_full(log in arb_log(), cap in 1usize..70) {
+        let mut w = FeatureWindow::new(cap);
         for r in &log {
             w.push(r.clone());
         }
-        let full = w.features();
-        let k = k.min(full.len());
-        assert_bitwise(&w.features_tail(k), &full[full.len() - k..]);
+        let windowed: Vec<TransferRecord> = w.records().cloned().collect();
+        let full = extract_features(&windowed);
+        for k in 0..=full.len() + 1 {
+            let kept = k.min(full.len());
+            assert_bitwise(&w.features_tail(k), &full[full.len() - kept..]);
+        }
     }
 }

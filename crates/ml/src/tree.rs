@@ -367,8 +367,8 @@ struct HistBuilder<'a> {
 impl HistBuilder<'_> {
     /// Grow the node owning `idx[lo..hi]`, whose histogram is already
     /// filled. Returns the node's arena index; the histogram set is
-    /// cleared and recycled (leaves) or reused in place for the larger
-    /// child (splits).
+    /// cleared and recycled (leaves, and splits whose children are leaves)
+    /// or reused in place for the larger child (other splits).
     fn grow(
         &mut self,
         lo: usize,
@@ -388,9 +388,7 @@ impl HistBuilder<'_> {
         let Some(cand) = cand else {
             hist.clear();
             self.ws.pool.push(hist);
-            self.ws.leaves.push((lo, hi, leaf_value));
-            self.nodes.push(Node::Leaf { value: leaf_value });
-            return self.nodes.len() - 1;
+            return self.leaf(lo, hi, g_sum, h_sum);
         };
         self.importance[cand.feature] += cand.gain;
         self.ws.separates &= cand.separates;
@@ -417,21 +415,31 @@ impl HistBuilder<'_> {
 
         let (gl, hl) = (cand.g_left, cand.h_left);
         let (gr, hr) = (g_sum - gl, h_sum - hl);
-        // Accumulate only the smaller child; the larger one is the
-        // subtraction `parent − sibling`, reusing the parent's buffer.
-        let mut small = self.ws.acquire_hist();
-        let mut large = hist;
-        let left_is_small = mid - lo <= hi - mid;
-        let small_rows = if left_is_small { lo..mid } else { mid..hi };
-        let ws = &*self.ws;
-        fill_hist(binned, &ws.offsets, self.g, self.h, &ws.idx[small_rows], &mut small);
-        large.subtract(&small);
-        let (left_hist, right_hist) = if left_is_small { (small, large) } else { (large, small) };
-
         let slot = self.nodes.len();
         self.nodes.push(Node::Leaf { value: 0.0 }); // placeholder
-        let left = self.grow(lo, mid, left_hist, gl, hl, depth + 1);
-        let right = self.grow(mid, hi, right_hist, gr, hr, depth + 1);
+        let (left, right) = if depth + 1 >= self.params.max_depth {
+            // Both children are leaves, which never search: they need
+            // their sums, not their histograms.
+            hist.clear();
+            self.ws.pool.push(hist);
+            (self.leaf(lo, mid, gl, hl), self.leaf(mid, hi, gr, hr))
+        } else {
+            // Accumulate only the smaller child; the larger one is the
+            // subtraction `parent − sibling`, reusing the parent's buffer.
+            let mut small = self.ws.acquire_hist();
+            let mut large = hist;
+            let left_is_small = mid - lo <= hi - mid;
+            let small_rows = if left_is_small { lo..mid } else { mid..hi };
+            let ws = &*self.ws;
+            fill_hist(binned, &ws.offsets, self.g, self.h, &ws.idx[small_rows], &mut small);
+            large.subtract(&small);
+            let (left_hist, right_hist) =
+                if left_is_small { (small, large) } else { (large, small) };
+            (
+                self.grow(lo, mid, left_hist, gl, hl, depth + 1),
+                self.grow(mid, hi, right_hist, gr, hr, depth + 1),
+            )
+        };
         self.nodes[slot] = Node::Split {
             feature: cand.feature,
             threshold: cand.threshold,
@@ -440,6 +448,15 @@ impl HistBuilder<'_> {
             value: leaf_value,
         };
         slot
+    }
+
+    /// Record `idx[lo..hi]` as a leaf with gradient sums `g_sum`, `h_sum`;
+    /// returns its arena index.
+    fn leaf(&mut self, lo: usize, hi: usize, g_sum: f64, h_sum: f64) -> usize {
+        let value = -g_sum / (h_sum + self.params.lambda);
+        self.ws.leaves.push((lo, hi, value));
+        self.nodes.push(Node::Leaf { value });
+        self.nodes.len() - 1
     }
 }
 
@@ -662,6 +679,26 @@ mod tests {
         let t = fit(&x, &g, &h, &idx, params, &mut imp);
         // Depth 2 → at most 7 nodes.
         assert!(t.node_count() <= 7, "{}", t.node_count());
+    }
+
+    #[test]
+    fn leaf_children_take_no_histograms() {
+        // A stump's children are leaves: the root's set is recycled and
+        // none is filled for them, so one set returns to the pool.
+        let x: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
+        let y: Vec<f64> = (0..20).map(|i| if i < 10 { -5.0 } else { 5.0 }).collect();
+        let (g, h) = grads(&y);
+        let idx: Vec<usize> = (0..20).collect();
+        let binned = BinnedMatrix::build(&x, 256);
+        let mut ws = TreeWorkspace::new(&binned);
+        let params = TreeParams { max_depth: 1, ..Default::default() };
+        let t = RegressionTree::fit_binned_in(&mut ws, &binned, &g, &h, &idx, params, &mut [0.0]);
+        assert_eq!(t.node_count(), 3);
+        assert_eq!(ws.pool.len(), 1);
+        let leaves: Vec<(&[usize], f64)> = ws.leaf_rows().collect();
+        assert_eq!(leaves.len(), 2);
+        assert_eq!(leaves[0].0, &idx[..10]);
+        assert_eq!(leaves[1].0, &idx[10..]);
     }
 
     #[test]

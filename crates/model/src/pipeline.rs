@@ -51,6 +51,7 @@ pub fn build_dataset(features: &[TransferFeatures], include_nflt: bool) -> Datas
     d
 }
 
+#[derive(Clone)]
 enum Inner {
     Linear(LinearRegression),
     /// The arena-layout model is kept for persistence and importance; all
@@ -74,6 +75,7 @@ impl Inner {
 ///
 /// Serializable: persist with [`FittedModel::to_json`] and reload with
 /// [`FittedModel::from_json`] to reuse a model across processes.
+#[derive(Clone)]
 pub struct FittedModel {
     kind: ModelKind,
     /// Indices of kept columns in the original dataset layout.

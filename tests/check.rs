@@ -7,7 +7,19 @@
 //! cargo run --release -p wdt-cli -- check \
 //!     --golden tests/golden/check-campaign.digest --refresh
 //! ```
+//!
+//! The same campaign's feature vectors are pinned too: an FNV-1a hash of
+//! every `extract_features` vector must match
+//! `tests/golden/check-features.digest`, so a feature layer change that
+//! moves one bit of one feature fails here. The test prints the text it
+//! expects the file to hold; refresh after an intentional change with:
+//!
+//! ```text
+//! cargo test --release --test check features_match -- --nocapture \
+//!     | sed -n '/^# wdt feature digest/,/^records /p' > tests/golden/check-features.digest
+//! ```
 
+use wdt::features::{extract_features, TransferFeatures};
 use wdt_bench::ScenarioCampaign;
 use wdt_check::{check_records, TraceDigest};
 use wdt_types::ScenarioSpec;
@@ -73,4 +85,51 @@ fn check_campaign_and_baseline_scenario_share_one_digest() {
     let baseline = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden/scenarios/baseline-diurnal.digest");
     assert_eq!(parse(golden_path()).hash(), parse(baseline).hash());
+}
+
+/// FNV-1a over every feature vector, in log order: its id, then the bits
+/// of its rate and of each `to_vec` entry, little-endian.
+fn feature_hash(features: &[TransferFeatures]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for f in features {
+        eat(f.id.0);
+        eat(f.rate.to_bits());
+        for v in f.to_vec() {
+            eat(v.to_bits());
+        }
+    }
+    hash
+}
+
+/// The feature golden's text for `features`.
+fn feature_digest_text(features: &[TransferFeatures]) -> String {
+    format!(
+        "# wdt feature digest v1: FNV-1a of every extract_features vector\n\
+         # (id, then rate and to_vec() bits, little-endian) of the check campaign\n\
+         # refresh with: see tests/check.rs\n\
+         hash {:016x}\n\
+         records {}\n",
+        feature_hash(features),
+        features.len()
+    )
+}
+
+#[test]
+fn check_campaign_features_match_committed_golden_digest() {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/check-features.digest");
+    let committed = std::fs::read_to_string(path).expect("committed feature digest");
+    let out = check_campaign().simulate();
+    let actual = feature_digest_text(&extract_features(&out.records));
+    println!("\n{actual}");
+    assert!(
+        committed == actual,
+        "check campaign features drifted from tests/golden/check-features.digest; \
+         if intentional, refresh it with the command in tests/check.rs's module docs"
+    );
 }
