@@ -11,22 +11,24 @@
 
 use wdt_bench::standard_log;
 use wdt_bench::table::TableWriter;
-use wdt_features::{eligible_edges, extract_features, threshold_filter, TransferFeatures};
+use wdt_features::{
+    eligible_edges, extract_features, threshold_filter, Dataset, Family, TransferFeatures,
+};
 use wdt_ml::quantile;
-use wdt_model::{build_dataset, FitConfig, FittedModel, ModelKind};
+use wdt_model::{FitConfig, FittedModel, ModelKind};
 
-const GROUPS: [(&str, &[&str]); 6] = [
-    ("full model", &[]),
-    ("- K* (contending rates)", &["Ksout", "Kdin", "Ksin", "Kdout"]),
-    ("- S* (competing streams)", &["Ssout", "Ssin", "Sdout", "Sdin"]),
-    ("- G* (competing instances)", &["Gsrc", "Gdst"]),
+/// Which feature families a variant removes.
+type Dropped = fn(Family) -> bool;
+
+const GROUPS: [(&str, Dropped); 6] = [
+    ("full model", |_| false),
+    ("- K* (contending rates)", |f| f == Family::ContendingRate),
+    ("- S* (competing streams)", |f| f == Family::Streams),
+    ("- G* (competing instances)", |f| f == Family::Instances),
     // The three load groups are partially redundant (streams track rates),
     // so also drop them jointly to expose their combined contribution.
-    (
-        "- ALL load features",
-        &["Ksout", "Kdin", "Ksin", "Kdout", "Ssout", "Ssin", "Sdout", "Sdin", "Gsrc", "Gdst"],
-    ),
-    ("- chars (Nb, Nf, Nd)", &["Nb", "Nf", "Nd"]),
+    ("- ALL load features", Family::is_competing_load),
+    ("- chars (Nb, Nf, Nd)", |f| f == Family::Shape),
 ];
 
 fn main() {
@@ -43,15 +45,12 @@ fn main() {
         &["variant", "median MdAPE", "vs full"],
     );
     let mut full_median = 0.0;
-    for (name, dropped) in GROUPS {
+    for (i, (name, dropped)) in GROUPS.into_iter().enumerate() {
         let mut mdapes = Vec::new();
         for edge in &edges {
             let on_edge: Vec<TransferFeatures> =
                 filtered.iter().filter(|f| f.edge == *edge).cloned().collect();
-            let mut data = build_dataset(&on_edge, false);
-            for d in dropped {
-                data.drop_column(d);
-            }
+            let data = Dataset::from_features(&on_edge, |c| c.served() && !dropped(c.family));
             let (train, test) = data.split(0.7, 0xAB1A ^ edge.src.0 as u64);
             let Some(model) = FittedModel::fit(&train, ModelKind::Gbdt, &cfg) else {
                 continue;
@@ -59,13 +58,13 @@ fn main() {
             mdapes.push(model.evaluate(&test).mdape);
         }
         let median = quantile(&mdapes, 0.5);
-        if dropped.is_empty() {
+        if i == 0 {
             full_median = median;
         }
         t.row(&[
             name.into(),
             format!("{median:.2}"),
-            if dropped.is_empty() {
+            if i == 0 {
                 "-".into()
             } else {
                 format!("{:+.1}%", 100.0 * (median / full_median - 1.0))

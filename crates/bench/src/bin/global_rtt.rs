@@ -28,7 +28,7 @@ fn main() {
     let caps = endpoint_caps(&pool);
 
     // Base dataset (Eq. 5) and the RTT-augmented one.
-    let base = build_global_dataset(&pool, &caps, false);
+    let base = build_global_dataset(&pool, &caps);
     let mut with_rtt = base.clone();
     with_rtt.names.push("RTT".into());
     for (row, f) in with_rtt.x.iter_mut().zip(&pool) {

@@ -8,7 +8,7 @@
 
 use wdt_bench::standard_log;
 use wdt_bench::table::TableWriter;
-use wdt_features::{eligible_edges, extract_features, threshold_filter, FEATURE_NAMES};
+use wdt_features::{eligible_edges, extract_features, threshold_filter, FEATURES};
 use wdt_ml::{mic, pearson};
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
     let edges = eligible_edges(&features, 0.5, 300);
 
     let mut header = vec!["row".to_string()];
-    header.extend(FEATURE_NAMES.iter().map(|s| s.to_string()));
+    header.extend(FEATURES.iter().map(|c| c.name.to_string()));
     let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
     let mut t = TableWriter::new(
         "Table 5 — CC vs MIC between features and rate, four heavy edges",
@@ -31,8 +31,8 @@ fn main() {
         let rates: Vec<f64> = on_edge.iter().map(|f| f.rate).collect();
         let mut cc_row = vec![format!("{edge} CC")];
         let mut mic_row = vec![format!("{edge} MIC")];
-        for (j, _) in FEATURE_NAMES.iter().enumerate() {
-            let col: Vec<f64> = on_edge.iter().map(|f| f.to_vec()[j]).collect();
+        for c in &FEATURES {
+            let col: Vec<f64> = on_edge.iter().map(|f| c.of(f)).collect();
             let cc = pearson(&col, &rates);
             let m = mic(&col, &rates);
             cc_row.push(cc.map_or("-".into(), |v| format!("{:.2}", v.abs())));

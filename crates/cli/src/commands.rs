@@ -16,7 +16,8 @@ use std::time::Duration;
 use wdt_bench::ScenarioCampaign;
 use wdt_check::DigestBuilder;
 use wdt_features::{
-    edge_census, edge_stats, eligible_edges, extract_features, threshold_filter, TransferFeatures,
+    edge_census, edge_stats, eligible_edges, extract_features, threshold_filter, Family, Feature,
+    TransferFeatures,
 };
 use wdt_ingest::{
     tail_csv, Backpressure, IngestConfig, IngestPipeline, LogStore, MemoryRing, RetrainConfig,
@@ -101,9 +102,9 @@ COMMANDS
                output: [--top N=20] [--top-features N=5] [--out FILE]
                (fits a GBDT on the threshold-filtered log unless --model
                 loads one; each triaged transfer reports bias + per-feature
-                contributions bucketed into competing-load (K*/S*),
-                endpoint (G*), tuning (C/P), and shape features, with the
-                most-negative bucket named as the dominant cause)
+                contributions bucketed into competing load (K*/S*/G*),
+                tuning (C/P) and shape, with the most-negative bucket
+                named as the dominant cause)
      advise    concurrency-cap advice for an endpoint (Figure 4 analysis)
                --log FILE --endpoint N
      serve     online rate-prediction service (HTTP, micro-batched)
@@ -420,10 +421,19 @@ fn train(args: &Args) -> CmdResult {
     Ok(())
 }
 
+/// Load a model artifact and check it against the serving schema, as
+/// `wdt serve` does, so each kept column reads the feature it names.
+fn load_model(path: &str) -> Result<FittedModel, Box<dyn Error>> {
+    let model =
+        FittedModel::from_json(&fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?)?;
+    ServeSchema::prediction().validate(&model)?;
+    Ok(model)
+}
+
 fn predict(args: &Args) -> CmdResult {
     args.ensure_known(&["log", "model"])?;
     let log = load_log(args)?;
-    let model = FittedModel::from_json(&fs::read_to_string(args.require("model")?)?)?;
+    let model = load_model(args.require("model")?)?;
     let features = extract_features(&log);
     let data = build_dataset(&features, false);
     // One contiguous chunk per worker; rows predict independently, so the
@@ -441,19 +451,16 @@ fn predict(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// The four triage buckets a feature's contribution lands in, by the
-/// paper's feature families: competing load (K\*: contending transfer
-/// rate in B/s, S\*: competing TCP stream counts), endpoint contention
-/// (G\*: GridFTP instances), the transfer's own tuning (C, P), and its
-/// shape (N\*).
-const TRIAGE_BUCKETS: [&str; 4] = ["competing_load", "endpoint", "tuning", "shape"];
+/// The triage buckets a feature's contribution lands in, by its family in
+/// the feature table: competing load (`K*`/`S*`/`G*`), the transfer's own
+/// tuning (`C`/`P`), and its shape (`N*`).
+const TRIAGE_BUCKETS: [&str; 3] = ["competing_load", "tuning", "shape"];
 
 fn triage_bucket(name: &str) -> usize {
-    match name.as_bytes().first() {
-        Some(b'K' | b'S') => 0,
-        Some(b'G') => 1,
-        Some(b'C' | b'P') => 2,
-        _ => 3,
+    match Feature::named(name).expect("kept features are served features").family {
+        f if f.is_competing_load() => 0,
+        Family::Tuning => 1,
+        _ => 2,
     }
 }
 
@@ -522,9 +529,7 @@ fn explain(args: &Args) -> CmdResult {
     // the threshold-filtered log (the same regime `wdt train` uses).
     let threshold: f64 = args.get_or("threshold", 0.5)?;
     let model = match args.get("model") {
-        Some(p) => {
-            FittedModel::from_json(&fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?)?
-        }
+        Some(p) => load_model(p)?,
         None => {
             let filtered = threshold_filter(&features, threshold);
             if filtered.len() < 20 {
@@ -559,13 +564,14 @@ fn explain(args: &Args) -> CmdResult {
             pred.to_bits(),
             "attributions must fold to the prediction bitwise"
         );
-        let mut buckets = [0.0f64; 4];
+        let mut buckets = [0.0f64; TRIAGE_BUCKETS.len()];
         for (name, &c) in kept.iter().zip(&contribs) {
             buckets[triage_bucket(name)] += c;
         }
         // The dominant cause is the bucket pulling the predicted rate
         // down hardest (most-negative contribution sum).
-        let dominant = (0..4).min_by(|&a, &b| buckets[a].total_cmp(&buckets[b])).unwrap();
+        let dominant =
+            (0..buckets.len()).min_by(|&a, &b| buckets[a].total_cmp(&buckets[b])).unwrap();
         let mut ranked: Vec<(&String, f64)> = kept.iter().zip(contribs.iter().copied()).collect();
         ranked.sort_by(|a, b| b.1.abs().total_cmp(&a.1.abs()));
         ranked.truncate(top_features);
@@ -831,14 +837,6 @@ struct ScenarioReport {
     digest: wdt_check::TraceDigest,
 }
 
-/// A feature name counts as "competing load" if it measures other traffic
-/// (K*: contending transfer rate in B/s, S*: competing TCP stream counts,
-/// G*: GridFTP instance counts) rather than the transfer's own tunables
-/// or shape.
-fn is_competing_load(name: &str) -> bool {
-    matches!(name.as_bytes().first(), Some(b'K' | b'S' | b'G'))
-}
-
 fn quantile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return f64::NAN;
@@ -888,8 +886,12 @@ fn run_scenario(c: &ScenarioCampaign, threshold: f64) -> ScenarioReport {
     } else {
         (None, None, Vec::new())
     };
-    let competing_load_dominant =
-        top_features.iter().take(5).filter(|(n, _)| is_competing_load(n)).count() >= 2;
+    let competing_load_dominant = top_features
+        .iter()
+        .take(5)
+        .filter(|(n, _)| Feature::named(n).is_some_and(|c| c.family.is_competing_load()))
+        .count()
+        >= 2;
 
     ScenarioReport {
         name: c.spec().name.clone(),
@@ -1534,6 +1536,7 @@ fn peak_rss_mb() -> Option<f64> {
 mod tests {
     use super::*;
     use crate::args::Args;
+    use std::collections::BTreeMap;
     use wdt_types::records_from_csv;
 
     fn parse(s: &str) -> Args {
@@ -1892,7 +1895,7 @@ mod tests {
         )))
         .expect("simulate");
         run(&parse(&format!(
-            "explain --log {} --threshold 0.0 --top 5 --top-features 3 --out {}",
+            "explain --log {} --threshold 0.0 --top 5 --top-features 15 --out {}",
             log_path.display(),
             out.display()
         )))
@@ -1903,25 +1906,44 @@ mod tests {
         let triage = report.field("triage").unwrap().as_arr().unwrap();
         assert!(!triage.is_empty() && triage.len() <= 5, "p99 tail capped at --top");
         let names = report.field("model_features").unwrap().as_string_vec().unwrap();
+        // Competing load is every K*, S* and G* feature (DESIGN.md).
+        let bucket_of = |family: Family| match family {
+            Family::ContendingRate | Family::Streams | Family::Instances => "competing_load",
+            Family::Tuning => "tuning",
+            Family::Shape | Family::Faults => "shape",
+        };
         for t in triage {
-            // Bucket sums partition the attribution mass: bias + Σ buckets
-            // equals the prediction (up to reassociation of the fold).
             let bias = t.field("bias").unwrap().as_f64().unwrap();
             let pred = t.field("prediction").unwrap().as_f64().unwrap();
-            let buckets = t.field("buckets").unwrap();
-            let total: f64 =
-                TRIAGE_BUCKETS.iter().map(|b| buckets.field(b).unwrap().as_f64().unwrap()).sum();
+            let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 * pred.abs().max(1.0);
+            let wdt_types::JsonValue::Obj(buckets) = t.field("buckets").unwrap() else {
+                panic!("buckets is not an object");
+            };
+            assert!(buckets.keys().eq(["competing_load", "shape", "tuning"]), "{buckets:?}");
+            // Bucket sums partition the attribution mass: bias + Σ buckets
+            // equals the prediction (up to reassociation of the fold).
+            let total: f64 = buckets.values().map(|v| v.as_f64().unwrap()).sum();
             assert!(
-                ((bias + total) - pred).abs() <= 1e-6 * pred.abs().max(1.0),
+                close(bias + total, pred),
                 "buckets do not partition the prediction: {bias} + {total} != {pred}"
             );
             let dominant = t.field("dominant").unwrap().as_str().unwrap();
             assert!(TRIAGE_BUCKETS.contains(&dominant), "unknown bucket '{dominant}'");
+            // --top-features 15 lists every kept feature, so each bucket
+            // is the sum of its family's contributions.
             let top = t.field("top").unwrap().as_arr().unwrap();
-            assert!(!top.is_empty() && top.len() <= 3, "--top-features caps the ranking");
+            assert_eq!(top.len(), names.len(), "every kept feature is ranked");
+            let mut want = BTreeMap::new();
             for c in top {
                 let f = c.field("feature").unwrap().as_str().unwrap();
                 assert!(names.iter().any(|n| n == f), "ranked feature '{f}' not in model");
+                let family = Feature::named(f).expect("a table feature").family;
+                *want.entry(bucket_of(family)).or_insert(0.0) +=
+                    c.field("contribution").unwrap().as_f64().unwrap();
+            }
+            for (bucket, got) in buckets {
+                let want = want.get(bucket.as_str()).copied().unwrap_or(0.0);
+                assert!(close(got.as_f64().unwrap(), want), "{bucket}: {got} != {want}");
             }
         }
     }

@@ -7,7 +7,7 @@
 //! incoming rate (`RImax = max of (R + Kdin)`). Intuitively these recover
 //! NIC/storage capability without any out-of-band knowledge.
 
-use crate::transfer_features::TransferFeatures;
+use crate::transfer_features::{TransferFeatures, FEATURES};
 use std::collections::BTreeMap;
 use wdt_types::EndpointId;
 
@@ -32,25 +32,17 @@ pub fn endpoint_caps(features: &[TransferFeatures]) -> BTreeMap<EndpointId, Endp
     map
 }
 
-/// Extend a 16-feature vector with the source's `ROmax` and destination's
-/// `RImax` (Eq. 5's extra terms). Endpoints never seen in the reference log
-/// get zeros — the honest cold-start answer.
+/// The served Table-2 features of `f` followed by the source's `ROmax` and
+/// the destination's `RImax` (Eq. 5's extra terms). Endpoints never seen in
+/// the reference log get zeros — the honest cold-start answer.
 pub fn extend_with_caps(
     f: &TransferFeatures,
     caps: &BTreeMap<EndpointId, EndpointCaps>,
 ) -> Vec<f64> {
-    let mut v = f.to_vec();
-    v.push(caps.get(&f.edge.src).map_or(0.0, |c| c.ro_max));
-    v.push(caps.get(&f.edge.dst).map_or(0.0, |c| c.ri_max));
-    v
-}
-
-/// Feature names for the extended vector.
-pub fn extended_feature_names() -> Vec<&'static str> {
-    let mut names = crate::transfer_features::FEATURE_NAMES.to_vec();
-    names.push("ROmax_src");
-    names.push("RImax_dst");
-    names
+    let served = FEATURES.iter().filter(|c| c.served()).map(|c| c.of(f));
+    let ro_max = caps.get(&f.edge.src).map_or(0.0, |c| c.ro_max);
+    let ri_max = caps.get(&f.edge.dst).map_or(0.0, |c| c.ri_max);
+    served.chain([ro_max, ri_max]).collect()
 }
 
 #[cfg(test)]
@@ -103,10 +95,10 @@ mod tests {
         let fs = vec![feat(0, 1, 100.0, 50.0, 25.0)];
         let caps = endpoint_caps(&fs);
         let v = extend_with_caps(&fs[0], &caps);
-        assert_eq!(v.len(), 18);
-        assert_eq!(v[16], 150.0);
-        assert_eq!(v[17], 125.0);
-        assert_eq!(extended_feature_names().len(), 18);
+        assert_eq!(v.len(), 17);
+        assert_eq!(v[..15], crate::Dataset::from_features(&fs, crate::Feature::served).x[0]);
+        assert_eq!(v[15], 150.0);
+        assert_eq!(v[16], 125.0);
     }
 
     #[test]
@@ -115,7 +107,7 @@ mod tests {
         let caps = endpoint_caps(&fs);
         let unseen = feat(7, 8, 1.0, 0.0, 0.0);
         let v = extend_with_caps(&unseen, &caps);
+        assert_eq!(v[15], 0.0);
         assert_eq!(v[16], 0.0);
-        assert_eq!(v[17], 0.0);
     }
 }

@@ -8,6 +8,7 @@
 //!   per-endpoint step-function integrals built one endpoint at a time
 //!   ([`featurize_by_endpoint`], which the streaming window shares), plus
 //!   transfer characteristics.
+//! * [`FEATURES`] — the feature table: each Table-2 feature's name, column and [`Family`].
 //! * [`edges`] — per-edge statistics, the §3.2 census, `Rmax(E)` and the
 //!   `R ≥ T·Rmax` threshold filter of §4.3.2.
 //! * [`endpoint_caps()`](endpoint_caps()) — the §5.4 `ROmax`/`RImax` endpoint capability
@@ -30,10 +31,10 @@ pub use edges::{
     edge_census, edge_stats, eligible_edges, group_by_edge, rate_floors, threshold_filter,
     EdgeStats,
 };
-pub use endpoint_caps::{endpoint_caps, extend_with_caps, extended_feature_names, EndpointCaps};
+pub use endpoint_caps::{endpoint_caps, extend_with_caps, EndpointCaps};
 pub use matrix::{Dataset, Normalizer};
 pub use step::StepIntegral;
 pub use transfer_features::{
-    extract_features, featurize_by_endpoint, interval_contribution, EndpointProfiles,
-    IntervalContribution, TransferFeatures, FEATURE_NAMES, NFLT_INDEX,
+    extract_features, featurize_by_endpoint, interval_contribution, EndpointProfiles, Family,
+    Feature, IntervalContribution, TransferFeatures, FEATURES,
 };

@@ -1,5 +1,7 @@
 //! Dataset assembly: feature matrices, normalization, variance pruning.
 
+use crate::transfer_features::{Feature, TransferFeatures, FEATURES};
+
 /// A dense row-major feature matrix with a target vector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
@@ -19,6 +21,17 @@ impl Dataset {
             assert_eq!(row.len(), names.len(), "row width must match names");
         }
         Dataset { names, x, y }
+    }
+
+    /// The dataset of `features` over the [`FEATURES`] columns `keep`
+    /// selects, in table order, with the transfer rate as the target.
+    pub fn from_features(features: &[TransferFeatures], keep: impl Fn(&Feature) -> bool) -> Self {
+        let cols: Vec<&Feature> = FEATURES.iter().filter(|c| keep(c)).collect();
+        Dataset {
+            names: cols.iter().map(|c| c.name.to_string()).collect(),
+            x: features.iter().map(|f| cols.iter().map(|c| c.of(f)).collect()).collect(),
+            y: features.iter().map(|f| f.rate).collect(),
+        }
     }
 
     /// Number of rows.
@@ -64,16 +77,6 @@ impl Dataset {
             Dataset { names: self.names.clone(), x: train_x, y: train_y },
             Dataset { names: self.names.clone(), x: test_x, y: test_y },
         )
-    }
-
-    /// Drop a column by name; no-op if absent.
-    pub fn drop_column(&mut self, name: &str) {
-        if let Some(idx) = self.names.iter().position(|n| n == name) {
-            self.names.remove(idx);
-            for row in &mut self.x {
-                row.remove(idx);
-            }
-        }
     }
 
     /// Indices of columns whose coefficient of variation is effectively
@@ -193,16 +196,6 @@ mod tests {
     fn low_variance_detects_constant_column() {
         let d = tiny();
         assert_eq!(d.low_variance_columns(0.01), vec![2]);
-    }
-
-    #[test]
-    fn drop_column_by_name() {
-        let mut d = tiny();
-        d.drop_column("b");
-        assert_eq!(d.names, vec!["a", "const"]);
-        assert_eq!(d.x[0], vec![1.0, 5.0]);
-        d.drop_column("nope"); // no-op
-        assert_eq!(d.width(), 2);
     }
 
     #[test]

@@ -53,37 +53,83 @@ pub struct TransferFeatures {
     pub n_f: f64,
 }
 
-/// Names of the model features, in the order [`TransferFeatures::to_vec`]
-/// emits them — the paper's Figure 9/12 feature order.
-pub const FEATURE_NAMES: [&str; 16] = [
-    "Ksout", "Kdin", "C", "P", "Ssout", "Ssin", "Sdout", "Sdin", "Ksin", "Kdout", "Nd", "Nb",
-    "Nflt", "Gsrc", "Gdst", "Nf",
+/// The paper's Table-2 feature families (DESIGN.md, "One feature table").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Family {
+    /// `K*`: contending transfer rates at the endpoints, bytes/s.
+    ContendingRate,
+    /// `S*`: competing TCP streams at the endpoints.
+    Streams,
+    /// `G*`: competing GridFTP instances at the endpoints.
+    Instances,
+    /// `C`, `P`: the transfer's own tunables.
+    Tuning,
+    /// `Nd`, `Nb`, `Nf`: the transfer's shape.
+    Shape,
+    /// `Nflt`: faults, known only after the transfer ends.
+    Faults,
+}
+
+impl Family {
+    /// Whether the family measures other load on the endpoints (`K*`,
+    /// `S*`, `G*`), the group Fig. 12 finds on top.
+    pub fn is_competing_load(self) -> bool {
+        matches!(self, Family::ContendingRate | Family::Streams | Family::Instances)
+    }
+}
+
+/// One Table-2 feature: its name, its family and how to read it.
+pub struct Feature {
+    /// The paper's name for the feature.
+    pub name: &'static str,
+    /// The family it belongs to.
+    pub family: Family,
+    value: fn(&TransferFeatures) -> f64,
+}
+
+impl Feature {
+    /// The feature's value for one transfer.
+    pub fn of(&self, f: &TransferFeatures) -> f64 {
+        (self.value)(f)
+    }
+
+    /// Whether prediction models and the serving schema use the feature:
+    /// every family but faults, which are unknown at decision time.
+    pub fn served(&self) -> bool {
+        self.family != Family::Faults
+    }
+
+    /// The feature with this name, if it is one of [`FEATURES`].
+    pub fn named(name: &str) -> Option<&'static Feature> {
+        FEATURES.iter().find(|c| c.name == name)
+    }
+}
+
+/// Every Table-2 feature once, in column order (the paper's Figure 9/12
+/// order); a served row is the [`Feature::served`] subsequence.
+pub static FEATURES: [Feature; 16] = [
+    Feature { name: "Ksout", family: Family::ContendingRate, value: |f| f.k_sout },
+    Feature { name: "Kdin", family: Family::ContendingRate, value: |f| f.k_din },
+    Feature { name: "C", family: Family::Tuning, value: |f| f.c },
+    Feature { name: "P", family: Family::Tuning, value: |f| f.p },
+    Feature { name: "Ssout", family: Family::Streams, value: |f| f.s_sout },
+    Feature { name: "Ssin", family: Family::Streams, value: |f| f.s_sin },
+    Feature { name: "Sdout", family: Family::Streams, value: |f| f.s_dout },
+    Feature { name: "Sdin", family: Family::Streams, value: |f| f.s_din },
+    Feature { name: "Ksin", family: Family::ContendingRate, value: |f| f.k_sin },
+    Feature { name: "Kdout", family: Family::ContendingRate, value: |f| f.k_dout },
+    Feature { name: "Nd", family: Family::Shape, value: |f| f.n_d },
+    Feature { name: "Nb", family: Family::Shape, value: |f| f.n_b },
+    Feature { name: "Nflt", family: Family::Faults, value: |f| f.n_flt },
+    Feature { name: "Gsrc", family: Family::Instances, value: |f| f.g_src },
+    Feature { name: "Gdst", family: Family::Instances, value: |f| f.g_dst },
+    Feature { name: "Nf", family: Family::Shape, value: |f| f.n_f },
 ];
 
-/// Index of `Nflt` in [`FEATURE_NAMES`] (excluded from prediction models).
-pub const NFLT_INDEX: usize = 12;
-
 impl TransferFeatures {
-    /// The full 16-feature vector, [`FEATURE_NAMES`] order.
+    /// The full 16-feature vector, in [`FEATURES`] order.
     pub fn to_vec(&self) -> Vec<f64> {
-        vec![
-            self.k_sout,
-            self.k_din,
-            self.c,
-            self.p,
-            self.s_sout,
-            self.s_sin,
-            self.s_dout,
-            self.s_din,
-            self.k_sin,
-            self.k_dout,
-            self.n_d,
-            self.n_b,
-            self.n_flt,
-            self.g_src,
-            self.g_dst,
-            self.n_f,
-        ]
+        FEATURES.iter().map(|c| c.of(self)).collect()
     }
 
     /// Relative external load (paper §3.2): the larger of the relative
@@ -502,14 +548,51 @@ mod tests {
     }
 
     #[test]
-    fn feature_vector_matches_names() {
-        let log = vec![rec(0, 0, 1, 0.0, 100.0, 1.0, 4, 2)];
-        let f = &extract_features(&log)[0];
-        let v = f.to_vec();
-        assert_eq!(v.len(), FEATURE_NAMES.len());
-        assert_eq!(v[NFLT_INDEX], f.n_flt);
-        assert_eq!(v[2], f.c);
-        assert_eq!(v[15], f.n_f);
+    fn feature_table_pins_names_columns_and_families() {
+        let names: Vec<&str> = FEATURES.iter().map(|c| c.name).collect();
+        assert_eq!(
+            names,
+            [
+                "Ksout", "Kdin", "C", "P", "Ssout", "Ssin", "Sdout", "Sdin", "Ksin", "Kdout", "Nd",
+                "Nb", "Nflt", "Gsrc", "Gdst", "Nf"
+            ]
+        );
+        // Each field holds its column's index, so an accessor wired to the
+        // wrong field puts a value in the wrong column.
+        let f = TransferFeatures {
+            id: TransferId(0),
+            edge: EdgeId::new(EndpointId(0), EndpointId(1)),
+            start: 0.0,
+            end: 1.0,
+            rate: 99.0,
+            k_sout: 0.0,
+            k_din: 1.0,
+            c: 2.0,
+            p: 3.0,
+            s_sout: 4.0,
+            s_sin: 5.0,
+            s_dout: 6.0,
+            s_din: 7.0,
+            k_sin: 8.0,
+            k_dout: 9.0,
+            n_d: 10.0,
+            n_b: 11.0,
+            n_flt: 12.0,
+            g_src: 13.0,
+            g_dst: 14.0,
+            n_f: 15.0,
+        };
+        assert_eq!(f.to_vec(), (0..16).map(f64::from).collect::<Vec<_>>());
+        let named = |keep: fn(&Feature) -> bool| {
+            FEATURES.iter().filter(|c| keep(c)).map(|c| c.name).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            named(|c| c.family.is_competing_load()),
+            ["Ksout", "Kdin", "Ssout", "Ssin", "Sdout", "Sdin", "Ksin", "Kdout", "Gsrc", "Gdst"]
+        );
+        assert_eq!(named(|c| !c.served()), ["Nflt"]);
+        assert!(Feature::named("ROmax_src").is_none());
+        assert_eq!(Feature::named("Gdst").map(|c| c.family), Some(Family::Instances));
     }
 
     #[test]
@@ -802,7 +885,7 @@ mod oracle_tests {
                         y.to_bits(),
                         "transfer {:?} {}: {} vs oracle {}",
                         a.id,
-                        FEATURE_NAMES[i],
+                        FEATURES[i].name,
                         x,
                         y
                     );

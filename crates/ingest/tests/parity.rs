@@ -62,7 +62,7 @@ fn assert_bitwise(
                 "transfer {:?} feature {} ({}): windowed {x} vs batch {y}",
                 a.id,
                 i,
-                wdt_features::FEATURE_NAMES[i]
+                wdt_features::FEATURES[i].name
             );
         }
         assert_eq!(a.rate.to_bits(), b.rate.to_bits());

@@ -19,9 +19,7 @@
 //! here depends on `WDT_THREADS`.
 
 use crate::binning::BinnedMatrix;
-#[cfg(test)]
-use crate::tree::Node;
-use crate::tree::{RegressionTree, TreeParams, TreeWorkspace};
+use crate::tree::{Node, RegressionTree, TreeParams, TreeWorkspace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wdt_types::json::{JsonError, JsonValue};
@@ -238,9 +236,17 @@ impl Gbdt {
         ])
     }
 
-    /// Inverse of [`Gbdt::to_json_value`].
+    /// Number of feature columns the model reads: `importance` has one
+    /// entry per column.
+    pub fn n_features(&self) -> usize {
+        self.importance.len()
+    }
+
+    /// Inverse of [`Gbdt::to_json_value`]. Every split must read one of the
+    /// model's [`Gbdt::n_features`] columns, so a corrupt artifact cannot
+    /// index past a row at prediction time.
     pub fn from_json_value(v: &JsonValue) -> Result<Self, JsonError> {
-        Ok(Gbdt {
+        let model = Gbdt {
             base_score: v.field("base_score")?.as_f64()?,
             eta: v.field("eta")?.as_f64()?,
             trees: v
@@ -251,7 +257,13 @@ impl Gbdt {
                 .collect::<Result<_, _>>()?,
             importance: v.field("importance")?.as_f64_vec()?,
             train_loss: v.field("train_loss")?.as_f64_vec()?,
-        })
+        };
+        let width = model.n_features();
+        let in_range = |n: &Node| !matches!(n, Node::Split { feature, .. } if *feature >= width);
+        if !model.trees.iter().flat_map(|t| t.nodes()).all(in_range) {
+            return Err(JsonError::new("tree split feature index out of range"));
+        }
+        Ok(model)
     }
 }
 

@@ -13,8 +13,8 @@
 //!   [`schedule_advice`] predicts the rate *now* versus under the edge's
 //!   historically quiet load levels, quantifying the payoff of deferring.
 
-use crate::pipeline::{build_dataset, FittedModel};
-use wdt_features::{bucket_by_concurrency, concurrency_profile, TransferFeatures};
+use crate::pipeline::FittedModel;
+use wdt_features::{bucket_by_concurrency, concurrency_profile, TransferFeatures, FEATURES};
 use wdt_ml::{quantile, WeibullCurve};
 use wdt_types::{EndpointId, TransferRecord};
 
@@ -72,8 +72,8 @@ pub struct ScheduleAdvice {
 ///
 /// `planned` carries the transfer's characteristics and the *currently
 /// observed* competing-load features; `history` supplies the edge's load
-/// distribution (only its K/S/G columns are used). Returns `None` if the
-/// history is empty.
+/// distribution (only its competing-load columns are used). Returns `None`
+/// if the history is empty.
 pub fn schedule_advice(
     model: &FittedModel,
     planned: &TransferFeatures,
@@ -82,31 +82,23 @@ pub fn schedule_advice(
     if history.is_empty() {
         return None;
     }
-    let load_q = |pick: fn(&TransferFeatures) -> f64, q: f64| {
-        let v: Vec<f64> = history.iter().map(pick).collect();
-        quantile(&v, q)
+    // The planned row, competing-load columns at the history's q-quantile.
+    let row = |q: Option<f64>| -> Vec<f64> {
+        FEATURES
+            .iter()
+            .filter(|c| c.served())
+            .map(|c| match q {
+                Some(q) if c.family.is_competing_load() => {
+                    quantile(&history.iter().map(|h| c.of(h)).collect::<Vec<_>>(), q)
+                }
+                _ => c.of(planned),
+            })
+            .collect()
     };
-    let scenario = |q: f64| {
-        let mut f = planned.clone();
-        f.k_sout = load_q(|h| h.k_sout, q);
-        f.k_din = load_q(|h| h.k_din, q);
-        f.k_sin = load_q(|h| h.k_sin, q);
-        f.k_dout = load_q(|h| h.k_dout, q);
-        f.s_sout = load_q(|h| h.s_sout, q);
-        f.s_sin = load_q(|h| h.s_sin, q);
-        f.s_dout = load_q(|h| h.s_dout, q);
-        f.s_din = load_q(|h| h.s_din, q);
-        f.g_src = load_q(|h| h.g_src, q);
-        f.g_dst = load_q(|h| h.g_dst, q);
-        f
-    };
-    let predict = |f: &TransferFeatures| {
-        let data = build_dataset(std::slice::from_ref(f), false);
-        model.predict(&data.x)[0].max(0.0)
-    };
-    let rate_now = predict(planned);
-    let rate_typical = predict(&scenario(0.5));
-    let rate_quiet = predict(&scenario(0.25));
+    let predict = |q: Option<f64>| model.predict_row(&row(q)).max(0.0);
+    let rate_now = predict(None);
+    let rate_typical = predict(Some(0.5));
+    let rate_quiet = predict(Some(0.25));
     Some(ScheduleAdvice {
         rate_now,
         rate_typical,
@@ -118,7 +110,7 @@ pub fn schedule_advice(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{FitConfig, ModelKind};
+    use crate::pipeline::{build_dataset, FitConfig, ModelKind};
     use wdt_features::Dataset;
     use wdt_types::{Bytes, EdgeId, SimTime, TransferId};
 

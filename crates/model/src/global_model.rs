@@ -9,8 +9,7 @@
 use crate::pipeline::{EvalReport, FitConfig, FittedModel, ModelKind};
 use std::collections::BTreeMap;
 use wdt_features::{
-    endpoint_caps, extend_with_caps, extended_feature_names, Dataset, EndpointCaps,
-    TransferFeatures,
+    endpoint_caps, extend_with_caps, Dataset, EndpointCaps, TransferFeatures, FEATURES,
 };
 use wdt_types::EndpointId;
 
@@ -18,24 +17,19 @@ use wdt_types::EndpointId;
 pub struct GlobalModel {
     model: FittedModel,
     caps: BTreeMap<EndpointId, EndpointCaps>,
-    include_nflt: bool,
 }
 
-/// Build the Eq. 5 dataset: Table 2 features extended with `ROmax_src` and
-/// `RImax_dst`, using capability estimates from `caps`.
+/// Build the Eq. 5 dataset: the served Table 2 features extended with
+/// `ROmax_src` and `RImax_dst`, using capability estimates from `caps`.
 pub fn build_global_dataset(
     features: &[TransferFeatures],
     caps: &BTreeMap<EndpointId, EndpointCaps>,
-    include_nflt: bool,
 ) -> Dataset {
-    let names: Vec<String> = extended_feature_names().iter().map(|s| s.to_string()).collect();
+    let served = FEATURES.iter().filter(|c| c.served()).map(|c| c.name);
+    let names = served.chain(["ROmax_src", "RImax_dst"]).map(String::from).collect();
     let x: Vec<Vec<f64>> = features.iter().map(|f| extend_with_caps(f, caps)).collect();
     let y: Vec<f64> = features.iter().map(|f| f.rate).collect();
-    let mut d = Dataset::new(names, x, y);
-    if !include_nflt {
-        d.drop_column("Nflt");
-    }
-    d
+    Dataset::new(names, x, y)
 }
 
 impl GlobalModel {
@@ -47,25 +41,21 @@ impl GlobalModel {
         cfg: &FitConfig,
     ) -> Option<Self> {
         let caps = endpoint_caps(train_features);
-        let data = build_global_dataset(train_features, &caps, false);
+        let data = build_global_dataset(train_features, &caps);
         let model = FittedModel::fit(&data, kind, cfg)?;
-        Some(GlobalModel { model, caps, include_nflt: false })
+        Some(GlobalModel { model, caps })
     }
 
     /// Predict the rate of one transfer (bytes/s) from its features,
     /// including for edges the model never saw (that is the point of §5.4 —
     /// only the *endpoints* need history).
     pub fn predict_one(&self, f: &TransferFeatures) -> f64 {
-        let mut row = extend_with_caps(f, &self.caps);
-        if !self.include_nflt {
-            row.remove(wdt_features::NFLT_INDEX);
-        }
-        self.model.predict_row(&row)
+        self.model.predict_row(&extend_with_caps(f, &self.caps))
     }
 
     /// Evaluate on held-out transfers.
     pub fn evaluate(&self, test_features: &[TransferFeatures]) -> EvalReport {
-        let data = build_global_dataset(test_features, &self.caps, self.include_nflt);
+        let data = build_global_dataset(test_features, &self.caps);
         self.model.evaluate(&data)
     }
 

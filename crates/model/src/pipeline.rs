@@ -2,7 +2,7 @@
 //! z-score normalization → linear or gradient-boosted regression →
 //! evaluation.
 
-use wdt_features::{Dataset, Normalizer, TransferFeatures, FEATURE_NAMES};
+use wdt_features::{Dataset, Normalizer, TransferFeatures};
 use wdt_ml::{
     mdape, pct_error_quantile, r2, rmse, Gbdt, GbdtParams, LinearRegression, NodeArrayForest,
 };
@@ -35,20 +35,14 @@ impl Default for FitConfig {
     }
 }
 
-/// Build the model dataset from engineered features.
+/// Build the model dataset from engineered features, in feature-table
+/// column order.
 ///
 /// `include_nflt` selects between the paper's two uses: `false` for
-/// prediction (faults are unknown in advance), `true` for explanation
-/// (Figures 9 and 12 include `Nflt`).
+/// prediction, which keeps the served columns (faults are unknown in
+/// advance), `true` for explanation (Figures 9 and 12 include `Nflt`).
 pub fn build_dataset(features: &[TransferFeatures], include_nflt: bool) -> Dataset {
-    let names: Vec<String> = FEATURE_NAMES.iter().map(|s| s.to_string()).collect();
-    let x: Vec<Vec<f64>> = features.iter().map(|f| f.to_vec()).collect();
-    let y: Vec<f64> = features.iter().map(|f| f.rate).collect();
-    let mut d = Dataset::new(names, x, y);
-    if !include_nflt {
-        d.drop_column("Nflt");
-    }
-    d
+    Dataset::from_features(features, |c| include_nflt || c.served())
 }
 
 #[derive(Clone)]
@@ -316,7 +310,12 @@ impl FittedModel {
         };
         let kept = v.field("kept")?.as_usize_vec()?;
         let names = v.field("names")?.as_string_vec()?;
-        if kept.len() != names.len() || normalizer.mean.len() != names.len() {
+        let model_width = match &inner {
+            Inner::Linear(m) => m.coefficients.len(),
+            Inner::Gbdt { model, .. } => model.n_features(),
+        };
+        let widths = [kept.len(), normalizer.mean.len(), normalizer.std.len(), model_width];
+        if widths.iter().any(|&w| w != names.len()) {
             return Err(JsonError::new("inconsistent model artifact"));
         }
         Ok(FittedModel {
@@ -625,6 +624,47 @@ mod persistence_tests {
                     || err.to_string().contains("inconsistent"),
                 "dropping '{missing}': unexpected error {err}"
             );
+        }
+    }
+
+    /// `json` with the value at the object-key `path` passed through `edit`.
+    fn edited(json: &str, path: &[&str], edit: impl FnOnce(&mut JsonValue)) -> String {
+        let mut root = JsonValue::parse(json).unwrap();
+        let mut v = &mut root;
+        for key in path {
+            v = match v {
+                JsonValue::Obj(m) => m.get_mut(*key).expect("artifact field"),
+                _ => panic!("no object at '{key}'"),
+            };
+        }
+        edit(v);
+        root.to_string()
+    }
+
+    fn pop(v: &mut JsonValue) {
+        let JsonValue::Arr(a) = v else { panic!("expected an array") };
+        assert!(a.pop().is_some(), "empty array");
+    }
+
+    /// Every width an artifact carries must match its column count: a short
+    /// `std` and a split past the last column panicked at prediction, and a
+    /// short coefficient list was zipped silently.
+    #[test]
+    fn from_json_rejects_widths_that_disagree() {
+        let linear = small_artifact(ModelKind::Linear);
+        let gbdt = small_artifact(ModelKind::Gbdt);
+        let far_split = edited(&gbdt, &["model", "trees"], |trees| {
+            let JsonValue::Arr(trees) = trees else { panic!("trees are an array") };
+            let JsonValue::Arr(nodes) = &mut trees[0] else { panic!("a tree is an array") };
+            let JsonValue::Obj(root) = &mut nodes[0] else { panic!("a node is an object") };
+            assert!(root.insert("f".into(), JsonValue::Num(99.0)).is_some(), "root splits");
+        });
+        for (what, broken) in [
+            ("short std", edited(&gbdt, &["normalizer", "std"], pop)),
+            ("split on column 99", far_split),
+            ("short coefficients", edited(&linear, &["model", "coefficients"], pop)),
+        ] {
+            assert!(FittedModel::from_json(&broken).is_err(), "{what} parsed");
         }
     }
 

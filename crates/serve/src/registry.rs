@@ -18,15 +18,12 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
-use wdt_features::{FEATURE_NAMES, NFLT_INDEX};
+use wdt_features::FEATURES;
 use wdt_model::FittedModel;
 
-/// The feature layout prediction rows are built in: names, in order.
-///
-/// The default serving schema is the paper's prediction layout —
-/// [`FEATURE_NAMES`] with `Nflt` dropped, exactly what
-/// `wdt_model::build_dataset(_, false)` trains on (faults are unknown at
-/// decision time).
+/// The feature layout prediction rows are built in: names, in order — the
+/// served columns of [`FEATURES`], exactly what
+/// `wdt_model::build_dataset(_, false)` trains on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeSchema {
     names: Vec<String>,
@@ -35,22 +32,13 @@ pub struct ServeSchema {
 }
 
 impl ServeSchema {
-    /// Build a schema from ordered feature names.
-    pub fn new(names: Vec<String>) -> Self {
+    /// The prediction-time schema (Table 2 features minus `Nflt`).
+    pub fn prediction() -> Self {
+        let names: Vec<String> =
+            FEATURES.iter().filter(|c| c.served()).map(|c| c.name.to_string()).collect();
         let index = names.iter().enumerate().map(|(i, n)| (n.clone(), i)).collect();
         let scan_index = crate::rowscan::SchemaIndex::build(&names);
         ServeSchema { names, index, scan_index }
-    }
-
-    /// The prediction-time schema (Table 2 features minus `Nflt`).
-    pub fn prediction() -> Self {
-        let names = FEATURE_NAMES
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != NFLT_INDEX)
-            .map(|(_, n)| n.to_string())
-            .collect();
-        Self::new(names)
     }
 
     /// Number of features in a row.
@@ -338,7 +326,7 @@ mod tests {
     #[test]
     fn prediction_schema_matches_build_dataset_layout() {
         let schema = ServeSchema::prediction();
-        assert_eq!(schema.width(), FEATURE_NAMES.len() - 1);
+        assert_eq!(schema.names(), wdt_model::build_dataset(&[], false).names);
         assert!(!schema.names().iter().any(|n| n == "Nflt"));
         assert_eq!(schema.position()["Ksout"], 0);
     }

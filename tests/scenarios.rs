@@ -12,7 +12,7 @@
 use std::path::{Path, PathBuf};
 use wdt_bench::ScenarioCampaign;
 use wdt_check::{check_records, TraceDigest};
-use wdt_features::{extract_features, threshold_filter};
+use wdt_features::{extract_features, threshold_filter, Feature};
 use wdt_model::{build_dataset, FitConfig, FittedModel, ModelKind};
 
 fn root() -> &'static Path {
@@ -119,7 +119,7 @@ fn fig12_competing_load_features_stay_on_top_across_regimes() {
         let top5: Vec<&str> = sig.iter().take(5).map(|(n, _)| n.as_str()).collect();
         let competing = top5
             .iter()
-            .filter(|n| matches!(n.as_bytes().first(), Some(b'K' | b'S' | b'G')))
+            .filter(|n| Feature::named(n).is_some_and(|c| c.family.is_competing_load()))
             .count();
         assert!(
             competing >= 2,
